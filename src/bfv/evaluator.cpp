@@ -58,6 +58,22 @@ Ciphertext Evaluator::finalize(const CiphertextAccumulator& accum) const {
   return {engine_.finalize(accum.c0), engine_.finalize(accum.c1)};
 }
 
+void Evaluator::finalize_batch(std::span<const CiphertextAccumulator> accums,
+                               std::span<Ciphertext> out) const {
+  if (out.size() != accums.size()) throw std::invalid_argument("finalize_batch: size mismatch");
+  std::vector<const SpectralAccumulator*> elems;
+  elems.reserve(2 * accums.size());
+  for (const CiphertextAccumulator& a : accums) {
+    elems.push_back(&a.c0);
+    elems.push_back(&a.c1);
+  }
+  std::vector<Poly> polys(elems.size());
+  engine_.finalize_batch(elems, polys);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = {std::move(polys[2 * i]), std::move(polys[2 * i + 1])};
+  }
+}
+
 const WideMultiplier& Evaluator::wide() const {
   std::lock_guard<std::mutex> lock(wide_mu_);
   if (!wide_) wide_ = std::make_unique<WideMultiplier>(ctx_);

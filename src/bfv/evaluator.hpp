@@ -61,6 +61,10 @@ class Evaluator {
   void multiply_accumulate(const CiphertextSpectrum& ct_spec, const PlainSpectrum& w,
                            CiphertextAccumulator& accum) const;
   Ciphertext finalize(const CiphertextAccumulator& accum) const;
+  /// out[i] = finalize(accums[i]); both elements of every accumulator go
+  /// through one PolyMulEngine::finalize_batch call.
+  void finalize_batch(std::span<const CiphertextAccumulator> accums,
+                      std::span<Ciphertext> out) const;
 
   /// --- Full BFV operations ------------------------------------------------
   /// ct x ct tensor product (exact CRT-based wide arithmetic).

@@ -7,6 +7,7 @@
 #include "core/scratch.hpp"
 #include "fft/transform_cache.hpp"
 #include "hemath/pointwise.hpp"
+#include "hemath/simd_batch.hpp"
 
 namespace flash::bfv {
 
@@ -32,52 +33,67 @@ PolyMulEngine::PolyMulEngine(const BfvContext& ctx, PolyMulBackend backend,
   }
 }
 
+std::size_t PolyMulEngine::batch_width() const {
+  return backend_ == PolyMulBackend::kNtt ? hemath::simd_batch::kAvx512Lanes : 1;
+}
+
 PlainSpectrum PolyMulEngine::transform_plain(const Plaintext& pt) const {
-  const auto& p = ctx_.params();
   PlainSpectrum out;
-  out.backend = backend_;
-  bump(counters_.plain_transforms);
-  switch (backend_) {
-    case PolyMulBackend::kNtt: {
-      std::vector<u64> lifted(p.n);
-      for (std::size_t i = 0; i < p.n; ++i) {
-        lifted[i] = hemath::from_signed(hemath::to_signed(pt.poly[i], p.t), p.q);
+  transform_plain_batch(std::span<const Plaintext>(&pt, 1), std::span<PlainSpectrum>(&out, 1));
+  return out;
+}
+
+void PolyMulEngine::transform_plain_batch(std::span<const Plaintext> pts,
+                                          std::span<PlainSpectrum> out) const {
+  if (out.size() != pts.size()) throw std::invalid_argument("transform_plain_batch: size mismatch");
+  const auto& p = ctx_.params();
+  for (std::size_t k = 0; k < pts.size(); ++k) {
+    const Plaintext& pt = pts[k];
+    PlainSpectrum& spec = out[k];
+    spec.backend = backend_;
+    switch (backend_) {
+      case PolyMulBackend::kNtt: {
+        // Lift only; the forward NTTs run batched below.
+        spec.ntt.resize(p.n);
+        for (std::size_t i = 0; i < p.n; ++i) {
+          spec.ntt[i] = hemath::from_signed(hemath::to_signed(pt.poly[i], p.t), p.q);
+        }
+        break;
       }
-      ctx_.ntt().forward(lifted);
-      out.ntt = std::move(lifted);
-      break;
-    }
-    case PolyMulBackend::kFft: {
-      core::ScratchFrame frame(core::thread_scratch());
-      std::span<double> vals = frame.alloc<double>(p.n);
-      for (std::size_t i = 0; i < p.n; ++i) {
-        vals[i] = static_cast<double>(hemath::to_signed(pt.poly[i], p.t));
+      case PolyMulBackend::kFft:
+      case PolyMulBackend::kApproxFft: {
+        core::ScratchFrame frame(core::thread_scratch());
+        std::span<double> vals = frame.alloc<double>(p.n);
+        for (std::size_t i = 0; i < p.n; ++i) {
+          vals[i] = static_cast<double>(hemath::to_signed(pt.poly[i], p.t));
+        }
+        spec.fft.resize(p.n / 2);
+        if (backend_ == PolyMulBackend::kFft) {
+          ctx_.fft().forward_into(vals, spec.fft);
+        } else {
+          approx_->forward_into(vals, spec.fft);
+        }
+        break;
       }
-      out.fft.resize(p.n / 2);
-      ctx_.fft().forward_into(vals, out.fft);
-      break;
-    }
-    case PolyMulBackend::kApproxFft: {
-      core::ScratchFrame frame(core::thread_scratch());
-      std::span<double> vals = frame.alloc<double>(p.n);
-      for (std::size_t i = 0; i < p.n; ++i) {
-        vals[i] = static_cast<double>(hemath::to_signed(pt.poly[i], p.t));
+      case PolyMulBackend::kPow2: {
+        // Signed lift mod t into Z_{2^k}: negative weights wrap into the
+        // ring's upper half, exactly what u64 two's-complement masking
+        // produces.
+        spec.pow2.resize(p.n);
+        for (std::size_t i = 0; i < p.n; ++i) {
+          spec.pow2[i] = pow2_->from_signed(hemath::to_signed(pt.poly[i], p.t));
+        }
+        break;
       }
-      out.fft.resize(p.n / 2);
-      approx_->forward_into(vals, out.fft);
-      break;
-    }
-    case PolyMulBackend::kPow2: {
-      // Signed lift mod t into Z_{2^k}: negative weights wrap into the ring's
-      // upper half, exactly what u64 two's-complement masking produces.
-      out.pow2.resize(p.n);
-      for (std::size_t i = 0; i < p.n; ++i) {
-        out.pow2[i] = pow2_->from_signed(hemath::to_signed(pt.poly[i], p.t));
-      }
-      break;
     }
   }
-  return out;
+  if (backend_ == PolyMulBackend::kNtt) {
+    core::ScratchFrame frame(core::thread_scratch());
+    std::span<u64*> ptrs = frame.alloc<u64*>(out.size());
+    for (std::size_t k = 0; k < out.size(); ++k) ptrs[k] = out[k].ntt.data();
+    ctx_.ntt().forward_batch_into(ptrs, &frame.arena());
+  }
+  bump(counters_.plain_transforms, pts.size());
 }
 
 std::vector<fft::cplx> PolyMulEngine::transform_cipher(const Poly& ct_poly) const {
@@ -183,21 +199,41 @@ void PolyMulEngine::multiply_accumulate(const CipherSpectrum& ct_spec, const Pla
 }
 
 Poly PolyMulEngine::finalize(const SpectralAccumulator& accum) const {
-  if (accum.empty) throw std::invalid_argument("finalize: empty accumulator");
-  if (accum.backend != backend_) throw std::invalid_argument("finalize: backend mismatch");
+  const SpectralAccumulator* const one = &accum;
+  Poly out;
+  finalize_batch(std::span<const SpectralAccumulator* const>(&one, 1), std::span<Poly>(&out, 1));
+  return out;
+}
+
+void PolyMulEngine::finalize_batch(std::span<const SpectralAccumulator* const> accums,
+                                   std::span<Poly> out) const {
+  if (out.size() != accums.size()) throw std::invalid_argument("finalize_batch: size mismatch");
   const auto& p = ctx_.params();
+  for (std::size_t k = 0; k < accums.size(); ++k) {
+    const SpectralAccumulator& accum = *accums[k];
+    if (accum.empty) throw std::invalid_argument("finalize: empty accumulator");
+    if (accum.backend != backend_) throw std::invalid_argument("finalize: backend mismatch");
+    switch (backend_) {
+      case PolyMulBackend::kNtt:
+        out[k] = Poly(p.q, accum.ntt);  // inverse NTTs run batched below
+        break;
+      case PolyMulBackend::kPow2:
+        out[k] = Poly(p.q, accum.pow2);
+        bump(counters_.inverse_transforms);
+        break;
+      case PolyMulBackend::kFft:
+      case PolyMulBackend::kApproxFft:
+        out[k] = inverse_to_poly(accum.fft);
+        break;
+    }
+  }
   if (backend_ == PolyMulBackend::kNtt) {
-    std::vector<u64> coeffs = accum.ntt;
-    ctx_.ntt().inverse(coeffs);
-    bump(counters_.inverse_transforms);
-    return Poly(p.q, std::move(coeffs));
+    core::ScratchFrame frame(core::thread_scratch());
+    std::span<u64*> ptrs = frame.alloc<u64*>(out.size());
+    for (std::size_t k = 0; k < out.size(); ++k) ptrs[k] = out[k].coeffs().data();
+    ctx_.ntt().inverse_batch_into(ptrs, &frame.arena());
+    bump(counters_.inverse_transforms, out.size());
   }
-  if (backend_ == PolyMulBackend::kPow2) {
-    std::vector<u64> coeffs = accum.pow2;
-    bump(counters_.inverse_transforms);
-    return Poly(p.q, std::move(coeffs));
-  }
-  return inverse_to_poly(accum.fft);
 }
 
 Poly PolyMulEngine::multiply(const Poly& ct_poly, const PlainSpectrum& w) const {

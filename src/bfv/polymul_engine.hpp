@@ -25,6 +25,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bfv/context.hpp"
@@ -88,6 +89,9 @@ class PolyMulEngine {
                 std::optional<fft::FxpFftConfig> approx_config = std::nullopt);
 
   PolyMulBackend backend() const { return backend_; }
+  /// Polynomials per transform_plain_batch/finalize_batch call that fill the
+  /// widest SoA group (kNtt); 1 where those batches are plain loops.
+  std::size_t batch_width() const;
   /// Consistent snapshot of the cumulative tallies. Totals are exact even
   /// when many threads share one engine (relaxed atomics; no tally is lost).
   PolyMulCounters counters() const {
@@ -106,6 +110,9 @@ class PolyMulEngine {
   /// Transform a plaintext (weight) polynomial into the backend's spectral
   /// domain. Coefficients are lifted to signed representatives mod t.
   PlainSpectrum transform_plain(const Plaintext& pt) const;
+  /// out[i] = transform_plain(pts[i]), bit for bit and tally for tally; on
+  /// kNtt the forward NTTs run as one SoA batch (NttTables::forward_batch_into).
+  void transform_plain_batch(std::span<const Plaintext> pts, std::span<PlainSpectrum> out) const;
 
   /// ct_poly (mod q) times the transformed plaintext, result mod q.
   Poly multiply(const Poly& ct_poly, const PlainSpectrum& w) const;
@@ -119,6 +126,10 @@ class PolyMulEngine {
 
   /// One inverse transform: spectral accumulation back to a ring element.
   Poly finalize(const SpectralAccumulator& accum) const;
+  /// out[i] = finalize(*accums[i]), bit for bit and tally for tally; on kNtt
+  /// the inverse NTTs run as one SoA batch (NttTables::inverse_batch_into).
+  void finalize_batch(std::span<const SpectralAccumulator* const> accums,
+                      std::span<Poly> out) const;
 
   /// Lower-level FP helpers (kept public for tests and benches).
   std::vector<fft::cplx> transform_cipher(const Poly& ct_poly) const;

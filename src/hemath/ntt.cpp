@@ -33,9 +33,9 @@ NttTables::NttTables(u64 q, std::size_t n) : q_(q), n_(n) {
     psi_inv_br_[i] = pow_inv[r];
   }
 
-  // Shoup companions for the batched SoA kernels. The lazy arithmetic needs
+  // Shoup companions for the lazy kernels. The lazy arithmetic needs
   // headroom (coefficients reach 4q), so only primes below 2^61 qualify;
-  // the batch entry points fall back to the exact loop otherwise.
+  // every entry point falls back to the exact loop otherwise.
   shoup_ok_ = q < (u64{1} << 61);
   if (shoup_ok_) {
     const auto shoup = [q](u64 w) {
@@ -51,64 +51,48 @@ NttTables::NttTables(u64 q, std::size_t n) : q_(q), n_(n) {
   }
 }
 
+simd_batch::NttStageTables NttTables::forward_stages() const {
+  return {psi_br_.data(), psi_br_shoup_.data(), 0, 0, q_};
+}
+
+simd_batch::NttStageTables NttTables::inverse_stages() const {
+  return {psi_inv_br_.data(), psi_inv_br_shoup_.data(), n_inv_, n_inv_shoup_, q_};
+}
+
 void NttTables::forward(std::span<u64> a) const {
   if (a.size() != n_) throw std::invalid_argument("NttTables::forward: size mismatch");
-  std::size_t t = n_;
-  for (std::size_t m = 1; m < n_; m <<= 1) {
-    t >>= 1;
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::size_t j1 = 2 * i * t;
-      const u64 s = psi_br_[m + i];
-      for (std::size_t j = j1; j < j1 + t; ++j) {
-        const u64 u = a[j];
-        const u64 v = mul_mod(a[j + t], s, q_);
-        a[j] = add_mod(u, v, q_);
-        a[j + t] = sub_mod(u, v, q_);
-      }
-    }
+  if (!shoup_ok_) {
+    ntt_forward_exact(*this, a);
+    return;
   }
+  simd_batch::ntt_forward_soa(a.data(), n_, 1, forward_stages());
 }
 
 void NttTables::inverse(std::span<u64> a) const {
   if (a.size() != n_) throw std::invalid_argument("NttTables::inverse: size mismatch");
-  std::size_t t = 1;
-  for (std::size_t m = n_; m > 1; m >>= 1) {
-    std::size_t j1 = 0;
-    const std::size_t h = m >> 1;
-    for (std::size_t i = 0; i < h; ++i) {
-      const u64 s = psi_inv_br_[h + i];
-      for (std::size_t j = j1; j < j1 + t; ++j) {
-        const u64 u = a[j];
-        const u64 v = a[j + t];
-        a[j] = add_mod(u, v, q_);
-        a[j + t] = mul_mod(sub_mod(u, v, q_), s, q_);
-      }
-      j1 += 2 * t;
-    }
-    t <<= 1;
+  if (!shoup_ok_) {
+    ntt_inverse_exact(*this, a);
+    return;
   }
-  for (auto& x : a) x = mul_mod(x, n_inv_, q_);
+  simd_batch::ntt_inverse_soa(a.data(), n_, 1, inverse_stages());
 }
 
 void NttTables::forward_batch_into(std::span<u64* const> polys,
                                    core::ScratchArena* arena) const {
   if (!shoup_ok_) {
-    for (u64* p : polys) forward(std::span<u64>(p, n_));
+    for (u64* p : polys) ntt_forward_exact(*this, std::span<u64>(p, n_));
     return;
   }
-  const simd_batch::NttStageTables tb{psi_br_.data(), psi_br_shoup_.data(), 0, 0, q_};
-  simd_batch::ntt_forward_batch(polys, n_, tb, arena);
+  simd_batch::ntt_forward_batch(polys, n_, forward_stages(), arena);
 }
 
 void NttTables::inverse_batch_into(std::span<u64* const> polys,
                                    core::ScratchArena* arena) const {
   if (!shoup_ok_) {
-    for (u64* p : polys) inverse(std::span<u64>(p, n_));
+    for (u64* p : polys) ntt_inverse_exact(*this, std::span<u64>(p, n_));
     return;
   }
-  const simd_batch::NttStageTables tb{psi_inv_br_.data(), psi_inv_br_shoup_.data(), n_inv_,
-                                      n_inv_shoup_, q_};
-  simd_batch::ntt_inverse_batch(polys, n_, tb, arena);
+  simd_batch::ntt_inverse_batch(polys, n_, inverse_stages(), arena);
 }
 
 void NttTables::pointwise(std::span<const u64> a, std::span<const u64> b,
@@ -127,6 +111,51 @@ std::vector<u64> negacyclic_multiply(const NttTables& tables, const std::vector<
   tables.pointwise(fa, fb, c);
   tables.inverse(c);
   return c;
+}
+
+void ntt_forward_exact(const NttTables& tables, std::span<u64> a) {
+  const std::size_t n = tables.degree();
+  if (a.size() != n) throw std::invalid_argument("ntt_forward_exact: size mismatch");
+  const u64 q = tables.modulus();
+  const std::span<const u64> psi_br = tables.psi_br();
+  std::size_t t = n;
+  for (std::size_t m = 1; m < n; m <<= 1) {
+    t >>= 1;
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t j1 = 2 * i * t;
+      const u64 s = psi_br[m + i];
+      for (std::size_t j = j1; j < j1 + t; ++j) {
+        const u64 u = a[j];
+        const u64 v = mul_mod(a[j + t], s, q);
+        a[j] = add_mod(u, v, q);
+        a[j + t] = sub_mod(u, v, q);
+      }
+    }
+  }
+}
+
+void ntt_inverse_exact(const NttTables& tables, std::span<u64> a) {
+  const std::size_t n = tables.degree();
+  if (a.size() != n) throw std::invalid_argument("ntt_inverse_exact: size mismatch");
+  const u64 q = tables.modulus();
+  const std::span<const u64> psi_inv_br = tables.psi_inv_br();
+  std::size_t t = 1;
+  for (std::size_t m = n; m > 1; m >>= 1) {
+    std::size_t j1 = 0;
+    const std::size_t h = m >> 1;
+    for (std::size_t i = 0; i < h; ++i) {
+      const u64 s = psi_inv_br[h + i];
+      for (std::size_t j = j1; j < j1 + t; ++j) {
+        const u64 u = a[j];
+        const u64 v = a[j + t];
+        a[j] = add_mod(u, v, q);
+        a[j + t] = mul_mod(sub_mod(u, v, q), s, q);
+      }
+      j1 += 2 * t;
+    }
+    t <<= 1;
+  }
+  for (auto& x : a) x = mul_mod(x, tables.n_inv(), q);
 }
 
 std::vector<u64> negacyclic_multiply_schoolbook(u64 q, const std::vector<u64>& a,

@@ -6,6 +6,14 @@
 // at the odd powers of ψ. The inverse is a Gentleman-Sande network with ψ^-1
 // and a final scaling by N^-1. Pointwise multiplication in this domain equals
 // negacyclic convolution, which is the PolyMul at the heart of BFV HConv.
+//
+// Every transform runs Harvey's lazy-reduction butterflies with Shoup
+// multiplication (hemath/simd_batch): each twiddle w carries a precomputed
+// w' = floor(w * 2^64 / q), so a modular product is two 64-bit multiplies
+// and a subtraction, and coefficients stay below 4q between stages. Outputs
+// are reduced to canonical residues, so they are bit-identical to the
+// full-reduction loop (ntt_forward_exact/ntt_inverse_exact below), which
+// remains only as the q >= 2^61 fallback and as the tests' exact oracle.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +24,10 @@
 #include "hemath/modular.hpp"
 
 namespace flash::hemath {
+
+namespace simd_batch {
+struct NttStageTables;
+}  // namespace simd_batch
 
 /// Precomputed tables for a fixed (q, N) pair. Construction cost is O(N);
 /// reuse tables across transforms of the same ring.
@@ -28,8 +40,14 @@ class NttTables {
   std::size_t degree() const { return n_; }
   u64 psi() const { return psi_; }
 
+  /// Bit-reversed twiddle tables ψ^bitrev(i) / ψ^-bitrev(i) and N^-1 mod q.
+  std::span<const u64> psi_br() const { return psi_br_; }
+  std::span<const u64> psi_inv_br() const { return psi_inv_br_; }
+  u64 n_inv() const { return n_inv_; }
+
   /// In-place forward negacyclic NTT. Input in standard order, output in
-  /// bit-reversed order (matching the paper's Fig. 3 DIT dataflow).
+  /// bit-reversed order (matching the paper's Fig. 3 DIT dataflow). Never
+  /// allocates.
   void forward(std::span<u64> a) const;
   void forward(std::vector<u64>& a) const { forward(std::span<u64>(a)); }
 
@@ -43,7 +61,7 @@ class NttTables {
   /// Outputs are bit-identical to a loop of forward()/inverse() calls at
   /// every SIMD level (enforced by tests/test_batch_transforms.cpp).
   /// Scratch comes from `arena` (nullptr → the calling thread's arena);
-  /// steady state performs zero heap allocations. Falls back to the
+  /// steady state performs zero heap allocations. Falls back to the exact
   /// per-polynomial loop when q >= 2^61 (outside the Harvey lazy bound).
   void forward_batch_into(std::span<u64* const> polys,
                           core::ScratchArena* arena = nullptr) const;
@@ -60,6 +78,9 @@ class NttTables {
   }
 
  private:
+  simd_batch::NttStageTables forward_stages() const;
+  simd_batch::NttStageTables inverse_stages() const;
+
   u64 q_;
   std::size_t n_;
   int log_n_;
@@ -67,8 +88,8 @@ class NttTables {
   u64 n_inv_;     // N^-1 mod q
   std::vector<u64> psi_br_;      // ψ^bitrev(i), forward twiddles
   std::vector<u64> psi_inv_br_;  // ψ^-bitrev(i), inverse twiddles
-  // Shoup companions for the batched lazy kernels (hemath/simd_batch);
-  // populated only when q < 2^61 (shoup_ok_).
+  // Shoup companions for the lazy kernels (hemath/simd_batch); populated
+  // only when q < 2^61 (shoup_ok_), otherwise every transform is exact.
   bool shoup_ok_ = false;
   u64 n_inv_shoup_ = 0;
   std::vector<u64> psi_br_shoup_;
@@ -80,6 +101,13 @@ class NttTables {
 std::vector<u64> negacyclic_multiply(const NttTables& tables,
                                      const std::vector<u64>& a,
                                      const std::vector<u64>& b);
+
+/// Full-reduction transforms over `tables`' twiddles: every butterfly is
+/// reduced through a 128-bit mul_mod. Same orders and outputs as
+/// NttTables::forward/inverse; NttTables falls back to them for q >= 2^61,
+/// and the tests hold the lazy production path bit-equal to them.
+void ntt_forward_exact(const NttTables& tables, std::span<u64> a);
+void ntt_inverse_exact(const NttTables& tables, std::span<u64> a);
 
 /// Schoolbook negacyclic multiplication (O(N^2)); the correctness oracle.
 std::vector<u64> negacyclic_multiply_schoolbook(u64 q, const std::vector<u64>& a,

@@ -46,7 +46,7 @@ u64 next_prime_congruent(u64 lo, u64 step) {
 }
 
 u64 find_ntt_prime(int bits, std::size_t n) {
-  if (bits < 4 || bits > 61) throw std::invalid_argument("find_ntt_prime: bits out of range");
+  if (bits < 4 || bits > 62) throw std::invalid_argument("find_ntt_prime: bits out of range");
   if (n == 0 || (n & (n - 1)) != 0) throw std::invalid_argument("find_ntt_prime: n must be a power of two");
   const u64 step = 2 * static_cast<u64>(n);
   u64 q = next_prime_congruent(u64{1} << (bits - 1), step);

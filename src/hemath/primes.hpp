@@ -19,8 +19,8 @@ bool is_prime(u64 n);
 /// Smallest prime >= lo with prime ≡ 1 (mod step). Throws if none below 2^62.
 u64 next_prime_congruent(u64 lo, u64 step);
 
-/// Find a prime of exactly `bits` bits with q ≡ 1 (mod 2N), suitable as an
-/// NTT modulus for ring degree N (N a power of two).
+/// Find a prime of exactly `bits` bits (4..62) with q ≡ 1 (mod 2N), suitable
+/// as an NTT modulus for ring degree N (N a power of two).
 u64 find_ntt_prime(int bits, std::size_t n);
 
 /// Find several distinct NTT primes (for RNS bases).

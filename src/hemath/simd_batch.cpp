@@ -21,7 +21,15 @@ void unpack_soa(const u64* buf, std::size_t n, std::size_t g, u64* const* polys,
   }
 }
 
-void ntt_forward_soa(u64* buf, std::size_t n, std::size_t g, const NttStageTables& tb) {
+namespace {
+
+// The scalar networks are instantiated twice: kLanes = 1 is the in-place
+// single-polynomial transform (NttTables::forward/inverse and batch
+// remainders), where a compile-time lane count lets the compiler drop the
+// lane loop; kLanes = 0 takes the lane count g at run time.
+template <std::size_t kLanes>
+void forward_soa(u64* buf, std::size_t n, std::size_t g_runtime, const NttStageTables& tb) {
+  const std::size_t g = kLanes != 0 ? kLanes : g_runtime;
   const u64 q = tb.q;
   const u64 two_q = 2 * q;
   std::size_t t = n;
@@ -51,7 +59,9 @@ void ntt_forward_soa(u64* buf, std::size_t n, std::size_t g, const NttStageTable
   }
 }
 
-void ntt_inverse_soa(u64* buf, std::size_t n, std::size_t g, const NttStageTables& tb) {
+template <std::size_t kLanes>
+void inverse_soa(u64* buf, std::size_t n, std::size_t g_runtime, const NttStageTables& tb) {
+  const std::size_t g = kLanes != 0 ? kLanes : g_runtime;
   const u64 q = tb.q;
   const u64 two_q = 2 * q;
   std::size_t t = 1;
@@ -81,6 +91,24 @@ void ntt_inverse_soa(u64* buf, std::size_t n, std::size_t g, const NttStageTable
     u64 r = shoup_mul_lazy(x >= two_q ? x - two_q : x, tb.n_inv, tb.n_inv_shoup, q);
     if (r >= q) r -= q;
     buf[idx] = r;
+  }
+}
+
+}  // namespace
+
+void ntt_forward_soa(u64* buf, std::size_t n, std::size_t g, const NttStageTables& tb) {
+  if (g == 1) {
+    forward_soa<1>(buf, n, g, tb);
+  } else {
+    forward_soa<0>(buf, n, g, tb);
+  }
+}
+
+void ntt_inverse_soa(u64* buf, std::size_t n, std::size_t g, const NttStageTables& tb) {
+  if (g == 1) {
+    inverse_soa<1>(buf, n, g, tb);
+  } else {
+    inverse_soa<0>(buf, n, g, tb);
   }
 }
 

@@ -8,12 +8,13 @@
 // positions (j, j+t) is two contiguous G-lane vector loads and the twiddle
 // is broadcast once per (stage, block) instead of once per polynomial.
 //
-// The kernels use Harvey's lazy-reduction form with Shoup companions
-// (hemath/shoup_ntt) and reduce to canonical residues at the end. A
-// negacyclic NTT output is a residue vector mod q, so canonical outputs are
-// representation-independent: the SoA kernels are bit-identical to both the
-// reference NttTables path and the ShoupNttTables path at every SIMD level,
-// which is what the cross-level differential tier asserts.
+// The kernels use Harvey's lazy-reduction form with Shoup companions and
+// reduce to canonical residues at the end. A negacyclic NTT output is a
+// residue vector mod q, so canonical outputs are representation-independent:
+// the SoA kernels are bit-identical to the full-reduction exact loop
+// (hemath/ntt.hpp, ntt_forward_exact/ntt_inverse_exact) at every SIMD level,
+// which is what the cross-level differential tier asserts. The scalar form
+// at g = 1 is also NttTables' single-polynomial forward/inverse.
 //
 // Lane-group dispatch (documented in ARCHITECTURE.md §11):
 //   * kAvx512 → groups of 8 lanes; a remainder of 2..4 drops to the 4-lane

@@ -1,5 +1,6 @@
 #include "protocol/hconv_protocol.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -67,29 +68,48 @@ std::shared_ptr<const HConvProtocol::PreparedWeights> HConvProtocol::prepare_wei
   const auto& p = ctx_.params();
   encoding::ConvEncoder enc(p.n, weights.in_channels(), in_h, in_w, weights.kernel_h(),
                             weights.kernel_w());
-  const std::size_t tiles = enc.geometry().channel_tiles();
-  const std::size_t out_channels = weights.out_channels();
-
   auto prepared = std::make_shared<PreparedWeights>();
   prepared->in_channels = weights.in_channels();
   prepared->in_h = in_h;
   prepared->in_w = in_w;
-  prepared->out_channels = out_channels;
+  prepared->out_channels = weights.out_channels();
   prepared->kh = weights.kernel_h();
   prepared->kw = weights.kernel_w();
-  prepared->spec.assign(out_channels, std::vector<bfv::PlainSpectrum>(tiles));
-  // Same (m, tile) fan-out — and the same encode + transform per pair — as
-  // the inline weight loop of run_stream, so cached and uncached spectra are
-  // bit-identical.
-  core::for_range(pool_, out_channels * tiles, [&](std::size_t idx) {
-    const std::size_t m = idx / tiles;
-    const std::size_t tile = idx % tiles;
-    bfv::Plaintext pt = ctx_.make_plaintext();
-    const std::vector<i64> coeffs = enc.encode_weight(weights, m, tile);
-    for (std::size_t i = 0; i < p.n; ++i) pt.poly[i] = hemath::from_signed(coeffs[i], p.t);
-    prepared->spec[m][tile] = evaluator_.transform_plain(pt);
-  });
+  // The same transform_weights pass as run_stream's inline weight phase, so
+  // cached and uncached spectra are bit-identical.
+  transform_weights(enc, weights, prepared->spec);
   return prepared;
+}
+
+std::size_t HConvProtocol::items_per_task(std::size_t count, std::size_t polys_per_item) const {
+  std::size_t items = std::max<std::size_t>(1, evaluator_.engine().batch_width() / polys_per_item);
+  if (pool_ != nullptr) items = std::min(items, std::max<std::size_t>(1, count / pool_->thread_count()));
+  return items;
+}
+
+void HConvProtocol::transform_weights(const encoding::ConvEncoder& enc,
+                                      const tensor::Tensor4& weights,
+                                      std::vector<std::vector<bfv::PlainSpectrum>>& spec) const {
+  const auto& p = ctx_.params();
+  const std::size_t tiles = enc.geometry().channel_tiles();
+  const std::size_t pairs = weights.out_channels() * tiles;
+  const std::size_t per_task = items_per_task(pairs, 1);
+  spec.assign(weights.out_channels(), std::vector<bfv::PlainSpectrum>(tiles));
+  core::for_range(pool_, (pairs + per_task - 1) / per_task, [&](std::size_t task) {
+    const std::size_t begin = task * per_task;
+    const std::size_t count = std::min(per_task, pairs - begin);
+    std::vector<bfv::Plaintext> pts(count, ctx_.make_plaintext());
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::vector<i64> coeffs =
+          enc.encode_weight(weights, (begin + k) / tiles, (begin + k) % tiles);
+      for (std::size_t i = 0; i < p.n; ++i) pts[k].poly[i] = hemath::from_signed(coeffs[i], p.t);
+    }
+    std::vector<bfv::PlainSpectrum> specs(count);
+    evaluator_.engine().transform_plain_batch(pts, specs);
+    for (std::size_t k = 0; k < count; ++k) {
+      spec[(begin + k) / tiles][(begin + k) % tiles] = std::move(specs[k]);
+    }
+  });
 }
 
 HConvResult HConvProtocol::run_stream(const tensor::Tensor3& x, const tensor::Tensor4& weights,
@@ -159,15 +179,7 @@ HConvResult HConvProtocol::run_stream(const tensor::Tensor3& x, const tensor::Te
   t0 = std::chrono::steady_clock::now();
   std::vector<std::vector<bfv::PlainSpectrum>> wspec_local;
   if (cached == nullptr) {
-    wspec_local.assign(out_channels, std::vector<bfv::PlainSpectrum>(tiles));
-    core::for_range(pool_, out_channels * tiles, [&](std::size_t idx) {
-      const std::size_t m = idx / tiles;
-      const std::size_t tile = idx % tiles;
-      bfv::Plaintext pt = ctx_.make_plaintext();
-      const std::vector<i64> coeffs = enc.encode_weight(weights, m, tile);
-      for (std::size_t i = 0; i < p.n; ++i) pt.poly[i] = hemath::from_signed(coeffs[i], p.t);
-      wspec_local[m][tile] = evaluator_.transform_plain(pt);
-    });
+    transform_weights(enc, weights, wspec_local);
     result.profile.weight_transform_s += seconds_since(t0);
   }
   const std::vector<std::vector<bfv::PlainSpectrum>>& wspec =
@@ -177,19 +189,25 @@ HConvResult HConvProtocol::run_stream(const tensor::Tensor3& x, const tensor::Te
   // ciphertext is transformed once (shared across all output channels),
   // channel tiles accumulate point-wise, and one inverse transform produces
   // each output ciphertext. Each output channel owns its accumulator, so
-  // the channel loop parallelizes without sharing mutable state.
+  // the channel loop parallelizes without sharing mutable state; channels
+  // finalize in groups so their inverse transforms batch.
   t0 = std::chrono::steady_clock::now();
   std::vector<bfv::Evaluator::CiphertextSpectrum> ct_specs(tiles);
   core::for_range(pool_, tiles, [&](std::size_t tile) {
     ct_specs[tile] = evaluator_.transform_ciphertext(cts[tile]);
   });
   std::vector<bfv::Ciphertext> acc(out_channels, ctx_.make_ciphertext());
-  core::for_range(pool_, out_channels, [&](std::size_t m) {
-    bfv::Evaluator::CiphertextAccumulator accum;
-    for (std::size_t tile = 0; tile < tiles; ++tile) {
-      evaluator_.multiply_accumulate(ct_specs[tile], wspec[m][tile], accum);
+  const std::size_t per_task = items_per_task(out_channels, 2);
+  core::for_range(pool_, (out_channels + per_task - 1) / per_task, [&](std::size_t task) {
+    const std::size_t begin = task * per_task;
+    const std::size_t count = std::min(per_task, out_channels - begin);
+    std::vector<bfv::Evaluator::CiphertextAccumulator> accums(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      for (std::size_t tile = 0; tile < tiles; ++tile) {
+        evaluator_.multiply_accumulate(ct_specs[tile], wspec[begin + k][tile], accums[k]);
+      }
     }
-    acc[m] = evaluator_.finalize(accum);
+    evaluator_.finalize_batch(accums, std::span<bfv::Ciphertext>(acc).subspan(begin, count));
   });
   result.profile.cipher_transform_mul_s += seconds_since(t0);
 

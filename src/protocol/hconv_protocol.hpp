@@ -134,6 +134,16 @@ class HConvProtocol {
   const bfv::BfvContext& context() const { return ctx_; }
 
  private:
+  /// spec[m][tile] = spectrum of weight polynomial (m, tile), for every
+  /// output channel m and channel tile of `enc`. Pairs go to the engine in
+  /// batches of its batch width, fanned out over the pool.
+  void transform_weights(const encoding::ConvEncoder& enc, const tensor::Tensor4& weights,
+                         std::vector<std::vector<bfv::PlainSpectrum>>& spec) const;
+  /// Items per pool task when each item carries `polys_per_item` engine
+  /// polynomials: enough to fill one engine batch, but never so many that
+  /// the pool gets fewer tasks than threads.
+  std::size_t items_per_task(std::size_t count, std::size_t polys_per_item) const;
+
   const bfv::BfvContext& ctx_;
   std::uint64_t seed_;
   hemath::Sampler keygen_sampler_;  // consumed at construction only

@@ -12,7 +12,6 @@
 #include "dse/space.hpp"
 #include "hemath/ntt.hpp"
 #include "hemath/pow2.hpp"
-#include "hemath/shoup_ntt.hpp"
 #include "protocol/conv_runner.hpp"
 #include "serve/conv_server.hpp"
 #include "serve/network_session.hpp"
@@ -73,26 +72,28 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
     }
   }
 
-  // --- 2. Shoup/Harvey lazy-reduction NTT: bit-equal to the reference. ---
+  // --- 2. Exact full-reduction loop: the production lazy-reduction
+  // NttTables must be bit-equal to it at every n (schoolbook above only
+  // reaches n <= 512). Both operands and the product's inverse go through
+  // the exact loop; the pointwise product is shared arithmetic. ---
+  const hemath::NttTables& tables = ctx.ntt();
   {
-    const hemath::ShoupNttTables shoup(p.q, n);
     std::vector<u64> ws = w_lifted;
     std::vector<u64> cs = c.ct;
-    shoup.forward(ws);
-    shoup.forward(cs);
+    hemath::ntt_forward_exact(tables, ws);
+    hemath::ntt_forward_exact(tables, cs);
     std::vector<u64> prod(n);
     for (std::size_t i = 0; i < n; ++i) prod[i] = mul_mod(cs[i], ws[i], p.q);
-    shoup.inverse(prod);
+    hemath::ntt_inverse_exact(tables, prod);
     for (std::size_t i = 0; i < n; ++i) {
-      if (prod[i] != ref[i]) return fail("shoup-vs-ntt", coeff_mismatch(i, prod[i], ref[i]));
+      if (prod[i] != ref[i]) return fail("exact-vs-ntt", coeff_mismatch(i, ref[i], prod[i]));
     }
   }
 
-  // --- 2b. Batched SoA transforms: bit-equal to a loop of singles at the
-  // active dispatch level (the cross-level tier pins the level per run). ---
+  // --- 2b. Batched SoA transforms: bit-equal to a loop of production
+  // singles and to a loop of exact singles, at the active dispatch level
+  // (the cross-level tier pins the level per run). ---
   {
-    const hemath::NttTables plain_ntt(p.q, n);
-    const hemath::ShoupNttTables shoup(p.q, n);
     // Five lanes (full 4-group + remainder) derived from the case operands.
     std::vector<std::vector<u64>> lanes(5, c.ct);
     for (std::size_t b = 0; b < lanes.size(); ++b) {
@@ -100,9 +101,10 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
         lanes[b][i] = hemath::add_mod(c.ct[i], hemath::mul_mod(b, w_lifted[i], p.q), p.q);
       }
     }
-    const auto batch_check = [&](const auto& tables, const char* check) -> OracleReport {
+    const auto batch_check = [&](const auto& forward, const auto& inverse,
+                                 const char* check) -> OracleReport {
       std::vector<std::vector<u64>> singles = lanes;
-      for (auto& l : singles) tables.forward(l);
+      for (auto& l : singles) forward(std::span<u64>(l));
       std::vector<std::vector<u64>> batch = lanes;
       std::vector<u64*> ptrs(batch.size());
       for (std::size_t b = 0; b < batch.size(); ++b) ptrs[b] = batch[b].data();
@@ -116,7 +118,7 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
         }
       }
       // Inverse batch on the forward outputs must round back identically.
-      for (auto& l : singles) tables.inverse(l);
+      for (auto& l : singles) inverse(std::span<u64>(l));
       tables.inverse_batch_into(ptrs);
       for (std::size_t b = 0; b < batch.size(); ++b) {
         for (std::size_t i = 0; i < n; ++i) {
@@ -128,9 +130,13 @@ OracleReport PolymulOracle::run(const PolymulCase& c) const {
       }
       return OracleReport{};
     };
-    OracleReport r = batch_check(plain_ntt, "ntt-batch-vs-singles");
+    OracleReport r = batch_check([&](std::span<u64> a) { tables.forward(a); },
+                                 [&](std::span<u64> a) { tables.inverse(a); },
+                                 "ntt-batch-vs-singles");
     if (!r.ok) return r;
-    r = batch_check(shoup, "shoup-batch-vs-singles");
+    r = batch_check([&](std::span<u64> a) { hemath::ntt_forward_exact(tables, a); },
+                    [&](std::span<u64> a) { hemath::ntt_inverse_exact(tables, a); },
+                    "ntt-batch-vs-exact");
     if (!r.ok) return r;
   }
 

@@ -4,7 +4,8 @@
 // Exactness hierarchy (who must match whom, and how):
 //   * schoolbook mod-q multiplication      — the ground truth (small n);
 //   * NttTables (the kNtt engine path)     — bit-equal to schoolbook;
-//   * ShoupNttTables                       — bit-equal to the NTT reference;
+//   * full-reduction ntt_*_exact loops     — bit-equal to the lazy-reduction
+//     NttTables at every n, batched and single;
 //   * double-FFT engine (kFft)             — bit-equal while the workload
 //     stays inside the rounding-noise margin (the generators enforce it);
 //   * sparse planner/executor              — bit-equal: skipping/merging are
@@ -56,7 +57,7 @@ struct OracleReport {
   std::string summary() const { return ok ? "ok" : check + ": " + detail; }
 };
 
-/// Cross-checks one polymul case across schoolbook / NTT / Shoup NTT /
+/// Cross-checks one polymul case across schoolbook / NTT / exact NTT loop /
 /// Z_{2^k} mask-reduce / double FFT / sparse executor / approximate FXP FFT.
 class PolymulOracle {
  public:

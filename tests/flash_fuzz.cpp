@@ -1,5 +1,6 @@
-// flash_fuzz — randomized differential cross-checking of the four HConv
-// back-ends (exact NTT, Shoup NTT, double FFT, approximate+sparse FFT).
+// flash_fuzz — randomized differential cross-checking of the HConv
+// back-ends (lazy-reduction NTT against its exact full-reduction loop,
+// double FFT, approximate+sparse FFT, Z_{2^k}).
 //
 //   flash_fuzz --iters 500 --seed 42              # quick deterministic run
 //   flash_fuzz --time-budget 600 --iters 100000   # nightly soak

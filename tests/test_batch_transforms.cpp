@@ -12,7 +12,6 @@
 #include "fft/fxp_fft.hpp"
 #include "hemath/modular.hpp"
 #include "hemath/ntt.hpp"
-#include "hemath/shoup_ntt.hpp"
 #include "hemath/simd.hpp"
 #include "protocol/conv_runner.hpp"
 #include "tensor/quant.hpp"
@@ -88,11 +87,9 @@ TEST(BatchTransforms, NttBatchEqualsSinglesOverPolymulCorpus) {
     const testing::PolymulCase c = testing::make_polymul_case({.seed = seed});
     SCOPED_TRACE(c.spec.describe());
     const hemath::NttTables ntt(c.params.q, c.params.n);
-    const hemath::ShoupNttTables shoup(c.params.q, c.params.n);
     for (std::size_t batch : {1u, 2u, 5u, 8u, 9u}) {
       const auto lanes = corpus_lanes(c, batch);
       check_batch_equals_singles(ntt, lanes);
-      check_batch_equals_singles(shoup, lanes);
     }
   }
 }

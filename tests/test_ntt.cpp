@@ -1,5 +1,7 @@
 // Negacyclic NTT: inverse property, convolution theorem vs schoolbook,
-// linearity, and ring identities.
+// linearity, and ring identities; the lazy-reduction (Shoup/Harvey)
+// production path held bit-identical to the full-reduction exact loop,
+// including at the edge of the Harvey bound and on the q >= 2^61 fallback.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -111,6 +113,147 @@ TEST(Ntt, SchoolbookSparseInputs) {
   manual[1] = neg_mod(35 % q, q);
   EXPECT_EQ(expect, manual);
   EXPECT_EQ(negacyclic_multiply(tables, a, b), manual);
+}
+
+// --- Lazy-reduction path vs the exact full-reduction loop ---------------
+
+class ShoupNtt : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
+
+TEST_P(ShoupNtt, MatchesReferenceForward) {
+  const auto [bits, n] = GetParam();
+  const u64 q = find_ntt_prime(bits, n);
+  NttTables tables(q, n);
+  std::mt19937_64 rng(n * 3 + bits);
+  std::vector<u64> a = random_poly(n, q, rng);
+  std::vector<u64> b = a;
+  ntt_forward_exact(tables, a);
+  tables.forward(b);
+  EXPECT_EQ(a, b);
+}
+
+TEST_P(ShoupNtt, InverseRoundTrip) {
+  const auto [bits, n] = GetParam();
+  const u64 q = find_ntt_prime(bits, n);
+  NttTables tables(q, n);
+  std::mt19937_64 rng(n * 5 + bits);
+  const std::vector<u64> a = random_poly(n, q, rng);
+  std::vector<u64> b = a;
+  tables.forward(b);
+  tables.inverse(b);
+  EXPECT_EQ(a, b);
+}
+
+TEST_P(ShoupNtt, OutputsFullyReduced) {
+  const auto [bits, n] = GetParam();
+  const u64 q = find_ntt_prime(bits, n);
+  NttTables tables(q, n);
+  std::mt19937_64 rng(n * 7 + bits);
+  std::vector<u64> a = random_poly(n, q, rng);
+  tables.forward(a);
+  for (u64 x : a) EXPECT_LT(x, q);
+  tables.inverse(a);
+  for (u64 x : a) EXPECT_LT(x, q);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, ShoupNtt,
+                         ::testing::Combine(::testing::Values(30, 45, 59),
+                                            ::testing::Values(std::size_t{8}, std::size_t{256},
+                                                              std::size_t{4096})));
+
+TEST(ShoupNttEdge, ExtremeCoefficients) {
+  const std::size_t n = 64;
+  const u64 q = find_ntt_prime(59, n);
+  NttTables tables(q, n);
+  std::vector<u64> a(n, q - 1);  // all coefficients at the modulus edge
+  a[0] = 0;
+  std::vector<u64> b = a;
+  ntt_forward_exact(tables, a);
+  tables.forward(b);
+  EXPECT_EQ(a, b);
+}
+
+TEST(ShoupNttEdge, RejectsBadParameters) {
+  EXPECT_THROW(NttTables(17, 64), std::invalid_argument);
+  EXPECT_THROW(NttTables(find_ntt_prime(30, 64), 48), std::invalid_argument);
+  const NttTables tables(find_ntt_prime(30, 64), 64);
+  std::vector<u64> short_poly(32, 0);
+  EXPECT_THROW(tables.forward(short_poly), std::invalid_argument);
+  EXPECT_THROW(ntt_forward_exact(tables, short_poly), std::invalid_argument);
+  EXPECT_THROW(ntt_inverse_exact(tables, short_poly), std::invalid_argument);
+}
+
+TEST(ShoupNttEdge, ConvolutionAgreesWithReference) {
+  const std::size_t n = 128;
+  const u64 q = find_ntt_prime(50, n);
+  NttTables tables(q, n);
+  std::mt19937_64 rng(99);
+  const std::vector<u64> a = random_poly(n, q, rng);
+  const std::vector<u64> b = random_poly(n, q, rng);
+  // Pointwise products of exact-loop spectra, inverted by the lazy path.
+  std::vector<u64> fa = a, fb = b;
+  ntt_forward_exact(tables, fa);
+  ntt_forward_exact(tables, fb);
+  std::vector<u64> prod(n);
+  for (std::size_t i = 0; i < n; ++i) prod[i] = mul_mod(fa[i], fb[i], q);
+  tables.inverse(prod);
+  EXPECT_EQ(prod, negacyclic_multiply_schoolbook(q, a, b));
+}
+
+// --- Harvey-bound edge: the largest NTT primes the lazy path accepts ------
+
+/// Largest prime q < 2^61 with q ≡ 1 (mod 2n): the widest modulus the lazy
+/// kernels run (their coefficients reach 4q, which must stay below 2^64).
+u64 largest_lazy_prime(std::size_t n) {
+  const u64 step = 2 * static_cast<u64>(n);
+  u64 q = (u64{1} << 61) - step + 1;  // step divides 2^61
+  while (!is_prime(q)) q -= step;
+  return q;
+}
+
+/// Forward, inverse and round trip of `input` under `tables`, each
+/// bit-identical to the exact loop.
+void expect_matches_exact(const NttTables& tables, const std::vector<u64>& input) {
+  std::vector<u64> fwd = input, fwd_ref = input;
+  tables.forward(fwd);
+  ntt_forward_exact(tables, fwd_ref);
+  ASSERT_EQ(fwd, fwd_ref) << "forward, n=" << tables.degree() << " q=" << tables.modulus();
+  std::vector<u64> inv = input, inv_ref = input;
+  tables.inverse(inv);
+  ntt_inverse_exact(tables, inv_ref);
+  ASSERT_EQ(inv, inv_ref) << "inverse, n=" << tables.degree() << " q=" << tables.modulus();
+  tables.inverse(fwd);
+  ASSERT_EQ(fwd, input) << "round trip, n=" << tables.degree() << " q=" << tables.modulus();
+}
+
+TEST(HarveyBound, LargestLazyPrimeMatchesExactAtEveryDegree) {
+  for (std::size_t n = 2; n <= 32768; n *= 2) {
+    const u64 q = largest_lazy_prime(n);
+    ASSERT_LT(q, u64{1} << 61);
+    ASSERT_GT(q, u64{1} << 60);
+    const NttTables tables(q, n);
+    std::mt19937_64 rng(n * 13 + 1);
+    expect_matches_exact(tables, std::vector<u64>(n, q - 1));
+    expect_matches_exact(tables, random_poly(n, q, rng));
+  }
+}
+
+TEST(HarveyBound, PrimeAbove2To61TakesExactFallback) {
+  for (std::size_t n : {std::size_t{2}, std::size_t{64}, std::size_t{4096}}) {
+    const u64 q = find_ntt_prime(62, n);
+    ASSERT_GE(q, u64{1} << 61);
+    const NttTables tables(q, n);
+    std::mt19937_64 rng(n * 17 + 2);
+    expect_matches_exact(tables, std::vector<u64>(n, q - 1));
+    expect_matches_exact(tables, random_poly(n, q, rng));
+  }
+  // The fallback is a correct ring multiply, not merely self-consistent.
+  const std::size_t n = 64;
+  const u64 q = find_ntt_prime(62, n);
+  const NttTables tables(q, n);
+  std::mt19937_64 rng(3);
+  const std::vector<u64> a = random_poly(n, q, rng);
+  const std::vector<u64> b = random_poly(n, q, rng);
+  EXPECT_EQ(negacyclic_multiply(tables, a, b), negacyclic_multiply_schoolbook(q, a, b));
 }
 
 }  // namespace

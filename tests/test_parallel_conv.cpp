@@ -97,6 +97,44 @@ TEST(ParallelConv, PooledProtocolMatchesOracleOnApproxBackend) {
   EXPECT_EQ(r.reconstruct(ctx.params().t).data(), tensor::conv2d(x, w, {1, 1}).data());
 }
 
+TEST(ParallelConv, PooledNttProtocolBatchesMatchSerial) {
+  // kNtt groups weight transforms (up to 8 per call) and output channels
+  // (up to 4 per finalize call) into batches, shrunk so a pool still gets a
+  // task per thread. Chunk boundaries cross output channels and leave
+  // remainders here (27 weight pairs, 9 channels); the shares, the op
+  // counts (one per polynomial) and the cached-weight path must not depend
+  // on the chunking.
+  bfv::BfvContext ctx(test_params());
+  std::mt19937_64 rng(41);
+  const tensor::Tensor3 x = tensor::random_activations(24, 10, 10, 4, rng);
+  const tensor::Tensor4 w = tensor::random_weights(9, 24, 3, 4, rng);
+  const tensor::Tensor3 expect = tensor::conv2d(x, w, {1, 0});
+
+  HConvProtocol serial(ctx, bfv::PolyMulBackend::kNtt, std::nullopt, kSeed);
+  const HConvResult rs = serial.run_stream(x, w, 3);
+  const std::size_t tiles = rs.ops.cipher_transforms / 2;
+  ASSERT_GT(tiles, 1u);
+  EXPECT_EQ(rs.ops.plain_transforms, 9 * tiles);
+  EXPECT_EQ(rs.ops.inverse_transforms, 2u * 9);
+  EXPECT_EQ(rs.reconstruct(ctx.params().t).data(), expect.data());
+
+  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    core::ThreadPool pool(threads);
+    HConvProtocol pooled(ctx, bfv::PolyMulBackend::kNtt, std::nullopt, kSeed, &pool);
+    const HConvResult rp = pooled.run_stream(x, w, 3);
+    EXPECT_EQ(rs.client_share, rp.client_share) << threads << " threads";
+    EXPECT_EQ(rs.server_share, rp.server_share) << threads << " threads";
+    EXPECT_EQ(rs.ops.plain_transforms, rp.ops.plain_transforms);
+    EXPECT_EQ(rs.ops.inverse_transforms, rp.ops.inverse_transforms);
+
+    const auto prepared = pooled.prepare_weights(x.height(), x.width(), w);
+    const HConvResult rc = pooled.run_stream(x, w, 3, prepared.get());
+    EXPECT_EQ(rs.client_share, rc.client_share) << threads << " threads, cached";
+    EXPECT_EQ(rs.server_share, rc.server_share) << threads << " threads, cached";
+    EXPECT_EQ(rc.ops.plain_transforms, 0u);
+  }
+}
+
 TEST(ParallelConv, MatVecParityUnderPool) {
   bfv::BfvContext ctx(test_params());
   std::mt19937_64 rng(31);

@@ -2,11 +2,15 @@
 //
 //   flash_benchdiff baseline.json current.json [--tolerance 0.15]
 //
-// For every record name present in both files, the current value must not
-// exceed baseline * (1 + tolerance). Lower-is-better is assumed for every
-// unit the benches emit (ns, mm2, W). Names present in only one file are
-// reported but do not fail the run — benches gain and lose cases across PRs;
-// the gate is about the common set drifting.
+// For every record name in the baseline, the current value must not exceed
+// baseline * (1 + tolerance). Lower-is-better is assumed for every unit the
+// benches emit (ns, mm2, W). A baseline record missing from the current run
+// fails the gate too: deleting or renaming a benchmark must come with a
+// re-recorded baseline, or its gate would vanish silently. Records only the
+// current run has are reported as new and do not fail.
+//
+// Exit status: 0 clean, 1 on any regression or missing record, 2 on usage
+// or parse errors.
 //
 // Dependency-free by design (like flash_lint): the parser handles exactly the
 // schema bench_json.hpp writes — a flat "results" array of objects with
@@ -210,12 +214,14 @@ int main(int argc, char** argv) {
   }
 
   int regressions = 0;
+  int missing = 0;
   int compared = 0;
   std::printf("%-44s %14s %14s %8s\n", "benchmark", "baseline", "current", "ratio");
   for (const auto& [name, base_v] : base.values) {
     auto it = cur.values.find(name);
     if (it == cur.values.end()) {
-      std::printf("%-44s %14.1f %14s %8s\n", name.c_str(), base_v, "(missing)", "-");
+      std::printf("%-44s %14.1f %14s %8s  MISSING\n", name.c_str(), base_v, "(missing)", "-");
+      ++missing;
       continue;
     }
     ++compared;
@@ -231,7 +237,7 @@ int main(int argc, char** argv) {
       std::printf("%-44s %14s %14.1f %8s\n", name.c_str(), "(new)", cur_v, "-");
     }
   }
-  std::printf("\n%d compared, %d regression(s), tolerance %.0f%%\n", compared, regressions,
-              tolerance * 100.0);
-  return regressions > 0 ? 1 : 0;
+  std::printf("\n%d compared, %d regression(s), %d missing, tolerance %.0f%%\n", compared,
+              regressions, missing, tolerance * 100.0);
+  return regressions > 0 || missing > 0 ? 1 : 0;
 }
