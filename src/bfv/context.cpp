@@ -35,4 +35,15 @@ std::vector<i64> BfvContext::decode_signed(const Plaintext& pt) const {
   return out;
 }
 
+Poly BfvContext::delta_scaled(const Plaintext& pt) const {
+  const auto& p = params_;
+  const u64 delta = p.delta();
+  Poly out(p.q, p.n);
+  for (std::size_t i = 0; i < p.n; ++i) {
+    const u64 lifted = hemath::from_signed(hemath::to_signed(pt.poly[i], p.t), p.q);
+    out[i] = hemath::mul_mod(lifted, delta, p.q);
+  }
+  return out;
+}
+
 }  // namespace flash::bfv

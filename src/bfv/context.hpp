@@ -60,6 +60,9 @@ class BfvContext {
   /// Decode back to signed values.
   std::vector<i64> decode_signed(const Plaintext& pt) const;
 
+  /// Delta * m with m's centered lift mod t taken into R_q.
+  Poly delta_scaled(const Plaintext& pt) const;
+
  private:
   BfvParams params_;
   // Shared process-wide (fft::transform_cache): contexts on the same (q, N)

@@ -38,13 +38,11 @@ class Encryptor {
   /// Symmetric encryption: ct = (Delta*m + e - a*s, a), a uniform.
   Ciphertext encrypt_symmetric(const Plaintext& pt, const SecretKey& sk);
 
-  /// Public-key encryption: ct = (p0*u + e1 + Delta*m, p1*u + e2), u ternary.
-  Ciphertext encrypt(const Plaintext& pt, const PublicKey& pk);
-
-  /// Same encryption against a prepared key: draws u, e1, e2 in the same
-  /// sampler order, so for the same sampler state the ciphertext is
-  /// bit-identical to encrypt(pt, pk) — only the transform work shrinks.
+  /// Public-key encryption: ct = (p0*u + e1 + Delta*m, p1*u + e2), u ternary;
+  /// draws u, e1, e2 from the sampler in that order.
   Ciphertext encrypt(const Plaintext& pt, const PreparedPublicKey& pk);
+  /// Same encryption against an unprepared key: prepares it, then encrypts.
+  Ciphertext encrypt(const Plaintext& pt, const PublicKey& pk);
 
  private:
   const BfvContext& ctx_;
@@ -59,23 +57,23 @@ class Decryptor {
   /// caching fwd(s) removes one of the two forward transforms per call.
   Decryptor(const BfvContext& ctx, SecretKey sk);
 
-  Plaintext decrypt(const Ciphertext& ct) const;
-
-  /// Decrypt a pre-relinearization size-3 ciphertext (needs s^2).
-  Plaintext decrypt(const Ciphertext3& ct) const;
-
   /// Batched decryption: the c1 forward transforms and the product inverse
   /// transforms run through the batched SoA NTT (hemath/ntt), loading each
   /// twiddle once per batch. Bit-identical to a loop of decrypt() calls.
   std::vector<Plaintext> decrypt_batch(std::span<const Ciphertext> cts) const;
+  /// decrypt_batch of one (the batch of one runs the in-place scalar NTT).
+  Plaintext decrypt(const Ciphertext& ct) const;
+
+  /// Decrypt a pre-relinearization size-3 ciphertext (needs s^2).
+  Plaintext decrypt(const Ciphertext3& ct) const;
 
   /// Bits of noise budget remaining, SEAL-style: log2(q/2t) minus the log of
   /// the largest noise coefficient. <= 0 means decryption is unreliable.
   double invariant_noise_budget(const Ciphertext& ct) const;
 
  private:
-  /// c0 + c1*s mod q.
-  Poly noisy_scaled_message(const Ciphertext& ct) const;
+  /// c0 + c1*s mod q for each ciphertext, through the batched NTT.
+  std::vector<Poly> noisy_messages(std::span<const Ciphertext> cts) const;
 
   const BfvContext& ctx_;
   SecretKey sk_;

@@ -80,7 +80,6 @@ class Evaluator {
   Ciphertext rotate_columns(const Ciphertext& ct, const GaloisKeys& keys) const;
 
  private:
-  Poly delta_scaled(const Plaintext& pt) const;
   const WideMultiplier& wide() const;
 
   const BfvContext& ctx_;

@@ -26,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "bfv/context.hpp"
@@ -36,36 +37,32 @@ namespace flash::bfv {
 
 enum class PolyMulBackend { kNtt, kFft, kApproxFft, kPow2 };
 
-/// Spectral form of a plaintext polynomial under a specific backend.
-struct PlainSpectrum {
+/// One spectrum of any backend: a plaintext (weight) transform, a
+/// ciphertext-polynomial transform, or a spectral accumulator. kNtt and kPow2
+/// keep n residues (the NTT of the signed lift / the coefficient residues
+/// themselves — no spectral domain exists mod 2^k); kFft/kApproxFft keep the
+/// negacyclic half-spectrum of n/2 points.
+struct Spectrum {
+  using Residues = std::vector<u64>;
+  using HalfSpectrum = std::vector<fft::cplx>;
+
   PolyMulBackend backend = PolyMulBackend::kNtt;
-  std::vector<u64> ntt;        // kNtt: NTT of the signed lift to Z_q
-  std::vector<fft::cplx> fft;  // kFft/kApproxFft: negacyclic half-spectrum
-  std::vector<u64> pow2;       // kPow2: signed lift to Z_{2^k} (coefficient
-                               // domain — no spectral domain exists mod 2^k)
+  std::variant<Residues, HalfSpectrum> store;
+
+  /// True until the first multiply_accumulate fills an accumulator.
+  bool empty() const {
+    return std::visit([](const auto& v) { return v.empty(); }, store);
+  }
 };
 
-/// Spectral form of one ciphertext polynomial (computed once per ciphertext
-/// element and reused across every weight it multiplies — the activation
-/// transform amortization of paper §III-B).
-struct CipherSpectrum {
-  PolyMulBackend backend = PolyMulBackend::kNtt;
-  std::vector<u64> ntt;
-  std::vector<fft::cplx> fft;
-  std::vector<u64> pow2;
-};
-
-/// Spectral-domain accumulator: channel tiles and stride phases sum here
-/// before the single inverse transform per output polynomial (Fig. 4(b)).
-/// kPow2 accumulates coefficient-domain residues (each product is a full
-/// negacyclic multiply; the "inverse transform" in finalize is a copy).
-struct SpectralAccumulator {
-  PolyMulBackend backend = PolyMulBackend::kNtt;
-  std::vector<u64> ntt;
-  std::vector<fft::cplx> fft;
-  std::vector<u64> pow2;
-  bool empty = true;
-};
+/// Weight spectra are precomputed once and reused across every ciphertext;
+/// ciphertext spectra once per ciphertext element and reused across every
+/// weight (the activation transform amortization of paper §III-B); channel
+/// tiles and stride phases sum in an accumulator before the single inverse
+/// transform per output polynomial (Fig. 4(b)).
+using PlainSpectrum = Spectrum;
+using CipherSpectrum = Spectrum;
+using SpectralAccumulator = Spectrum;
 
 /// Operation counters for profiling (feeds the Fig. 1 breakdown and the
 /// accelerator energy model). Plain value type: snapshots of the engine's
@@ -114,13 +111,16 @@ class PolyMulEngine {
   /// kNtt the forward NTTs run as one SoA batch (NttTables::forward_batch_into).
   void transform_plain_batch(std::span<const Plaintext> pts, std::span<PlainSpectrum> out) const;
 
-  /// ct_poly (mod q) times the transformed plaintext, result mod q.
+  /// ct_poly (mod q) times the transformed plaintext, result mod q: one pass
+  /// of the pipeline below (transform, multiply_accumulate, finalize).
   Poly multiply(const Poly& ct_poly, const PlainSpectrum& w) const;
 
   /// Transform a ciphertext polynomial once; reused across output channels.
   CipherSpectrum transform_cipher_spectrum(const Poly& ct_poly) const;
 
-  /// accum += ct_spec * w (point-wise, in the spectral domain).
+  /// accum += ct_spec * w (point-wise, in the spectral domain). An empty
+  /// accumulator is zero-filled first. Throws std::invalid_argument unless
+  /// every operand is this engine's backend, store kind and degree.
   void multiply_accumulate(const CipherSpectrum& ct_spec, const PlainSpectrum& w,
                            SpectralAccumulator& accum) const;
 
@@ -130,13 +130,6 @@ class PolyMulEngine {
   /// the inverse NTTs run as one SoA batch (NttTables::inverse_batch_into).
   void finalize_batch(std::span<const SpectralAccumulator* const> accums,
                       std::span<Poly> out) const;
-
-  /// Lower-level FP helpers (kept public for tests and benches).
-  std::vector<fft::cplx> transform_cipher(const Poly& ct_poly) const;
-  std::vector<u64> transform_cipher_ntt(const Poly& ct_poly) const;
-  std::vector<fft::cplx> pointwise(const std::vector<fft::cplx>& ct_spec,
-                                   const PlainSpectrum& w) const;
-  Poly inverse_to_poly(const std::vector<fft::cplx>& spec) const;
 
  private:
   /// Internal tallies are atomics so that transform methods — which are
@@ -149,6 +142,10 @@ class PolyMulEngine {
     std::atomic<std::uint64_t> inverse_transforms{0};
     std::atomic<std::uint64_t> pointwise_products{0};
   };
+
+  /// Throws std::invalid_argument unless `s` holds this engine's backend,
+  /// store kind and length.
+  void check_spectrum(const Spectrum& s, const char* where) const;
 
   const BfvContext& ctx_;
   PolyMulBackend backend_;

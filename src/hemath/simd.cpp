@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -28,13 +27,8 @@ bool detect_avx512() {
 #endif
 }
 
-SimdLevel detect_level() {
-  return detail::resolve_level(std::getenv("FLASH_FORCE_SCALAR"),
-                               std::getenv("FLASH_FORCE_SIMD_LEVEL"), max_supported_level());
-}
-
 std::atomic<SimdLevel>& level_slot() {
-  static std::atomic<SimdLevel> level{detect_level()};
+  static std::atomic<SimdLevel> level{detail::level_from_environment()};
   return level;
 }
 
@@ -82,13 +76,7 @@ SimdLevel clamp_to_supported(SimdLevel level) {
 
 namespace detail {
 
-SimdLevel resolve_level(const char* force_scalar, const char* force_level,
-                        SimdLevel max_supported) {
-  // FLASH_FORCE_SCALAR keeps its original semantics and wins: existing
-  // baseline scripts must not change meaning because a richer knob exists.
-  if (force_scalar != nullptr && std::strcmp(force_scalar, "0") != 0 && force_scalar[0] != '\0') {
-    return SimdLevel::kScalar;
-  }
+SimdLevel resolve_level(const char* force_level, SimdLevel max_supported) {
   if (force_level != nullptr && force_level[0] != '\0') {
     const std::optional<SimdLevel> parsed = parse_simd_level(force_level);
     if (!parsed.has_value()) {
@@ -101,6 +89,14 @@ SimdLevel resolve_level(const char* force_scalar, const char* force_level,
     return *parsed <= max_supported ? *parsed : max_supported;
   }
   return max_supported;
+}
+
+SimdLevel level_from_environment() {
+  if (std::getenv("FLASH_FORCE_SCALAR") != nullptr) {
+    throw std::invalid_argument(
+        "FLASH_FORCE_SCALAR is no longer read; set FLASH_FORCE_SIMD_LEVEL=scalar instead");
+  }
+  return resolve_level(std::getenv("FLASH_FORCE_SIMD_LEVEL"), max_supported_level());
 }
 
 }  // namespace detail

@@ -10,6 +10,7 @@
 #include "bfv/noise.hpp"
 #include "core/flash_accelerator.hpp"
 #include "hemath/primes.hpp"
+#include "hemath/simd.hpp"
 
 namespace flash::bfv {
 namespace {
@@ -292,6 +293,125 @@ TEST(Bfv, BackendMismatchThrows) {
   const Ciphertext ca =
       f.enc.encrypt(f.ctx.encode_signed(std::vector<i64>(f.ctx.params().n, 1)), f.pk);
   EXPECT_THROW(fft_ev.multiply_plain(ca, spec), std::invalid_argument);
+}
+
+TEST(Bfv, ForeignBackendAccumulatorThrows) {
+  Fixture f;
+  const PolyMulEngine ntt(f.ctx, PolyMulBackend::kNtt);
+  const PolyMulEngine fft(f.ctx, PolyMulBackend::kFft);
+  std::vector<i64> vw(f.ctx.params().n, 0);
+  vw[1] = 3;
+  const Plaintext pw = f.ctx.encode_signed(vw);
+  const Ciphertext ct = f.enc.encrypt(f.ctx.encode_signed(vw), f.pk);
+  const PlainSpectrum ntt_w = ntt.transform_plain(pw);
+  const CipherSpectrum ntt_ct = ntt.transform_cipher_spectrum(ct.c0);
+  SpectralAccumulator fft_acc;
+  fft.multiply_accumulate(fft.transform_cipher_spectrum(ct.c0), fft.transform_plain(pw), fft_acc);
+
+  // A filled accumulator of another backend, either way round.
+  EXPECT_THROW(ntt.multiply_accumulate(ntt_ct, ntt_w, fft_acc), std::invalid_argument);
+  EXPECT_THROW((void)ntt.finalize(fft_acc), std::invalid_argument);
+  SpectralAccumulator ntt_acc;
+  ntt.multiply_accumulate(ntt_ct, ntt_w, ntt_acc);
+  EXPECT_THROW((void)fft.finalize(ntt_acc), std::invalid_argument);
+  // The right tag over the wrong store kind.
+  SpectralAccumulator forged = fft_acc;
+  forged.backend = PolyMulBackend::kNtt;
+  EXPECT_THROW(ntt.multiply_accumulate(ntt_ct, ntt_w, forged), std::invalid_argument);
+  EXPECT_THROW((void)ntt.finalize(forged), std::invalid_argument);
+  // Foreign ciphertext or weight operands.
+  SpectralAccumulator acc;
+  EXPECT_THROW(ntt.multiply_accumulate(fft.transform_cipher_spectrum(ct.c0), ntt_w, acc),
+               std::invalid_argument);
+  EXPECT_THROW(ntt.multiply_accumulate(ntt_ct, fft.transform_plain(pw), acc),
+               std::invalid_argument);
+  // An accumulator that was never filled is empty, not a zero polynomial.
+  EXPECT_TRUE(acc.empty());
+  EXPECT_THROW((void)ntt.finalize(acc), std::invalid_argument);
+}
+
+TEST(Bfv, OtherDegreeSpectrumThrows) {
+  Fixture f;  // n = 1024
+  const BfvContext wide_ctx(BfvParams::create(2048, 16, 45));
+  for (const PolyMulBackend b : {PolyMulBackend::kNtt, PolyMulBackend::kFft}) {
+    const PolyMulEngine small(f.ctx, b);
+    const PolyMulEngine large(wide_ctx, b);
+    std::vector<i64> vw(f.ctx.params().n, 0);
+    vw[2] = -5;
+    const PlainSpectrum small_w = small.transform_plain(f.ctx.encode_signed(vw));
+    const CipherSpectrum small_ct = small.transform_cipher_spectrum(f.ctx.make_ciphertext().c0);
+    SpectralAccumulator small_acc;
+    small.multiply_accumulate(small_ct, small_w, small_acc);
+
+    const PlainSpectrum large_w = large.transform_plain(wide_ctx.encode_signed(vw));
+    const CipherSpectrum large_ct = large.transform_cipher_spectrum(wide_ctx.make_ciphertext().c0);
+    SpectralAccumulator acc;
+    EXPECT_THROW((void)large.finalize(small_acc), std::invalid_argument);
+    EXPECT_THROW(large.multiply_accumulate(large_ct, large_w, small_acc), std::invalid_argument);
+    EXPECT_THROW(large.multiply_accumulate(small_ct, large_w, acc), std::invalid_argument);
+    EXPECT_THROW(large.multiply_accumulate(large_ct, small_w, acc), std::invalid_argument);
+    EXPECT_THROW((void)large.multiply(f.ctx.make_ciphertext().c0, large_w), std::invalid_argument);
+    EXPECT_THROW((void)large.transform_plain(f.ctx.encode_signed(vw)), std::invalid_argument);
+  }
+}
+
+TEST(Bfv, PublicKeyEncryptMatchesSchoolbookFormula) {
+  // encrypt(pt, pk) and encrypt(pt, prepare_public_key(pk)) both equal
+  // (p0*u + e1 + Delta*m, p1*u + e2) recomputed by schoolbook from a sampler
+  // seeded like the encryptor's, drawing u, e1, e2 in that order.
+  Fixture f;
+  const auto& p = f.ctx.params();
+  std::mt19937_64 rng(21);
+  const Plaintext pt = f.ctx.encode_signed(random_values(p.n, -100, 100, rng));
+  constexpr std::uint64_t kSeed = 0xe5c;
+  hemath::Sampler replay(kSeed);
+  const Poly u = replay.ternary_poly(p.q, p.n);
+  Poly c0(p.q, hemath::negacyclic_multiply_schoolbook(p.q, f.pk.p0.coeffs(), u.coeffs()));
+  c0.add_inplace(replay.gaussian_poly(p.q, p.n, p.error_sigma));
+  c0.add_inplace(f.ctx.delta_scaled(pt));
+  Poly c1(p.q, hemath::negacyclic_multiply_schoolbook(p.q, f.pk.p1.coeffs(), u.coeffs()));
+  c1.add_inplace(replay.gaussian_poly(p.q, p.n, p.error_sigma));
+
+  hemath::Sampler s1(kSeed), s2(kSeed);
+  Encryptor by_key(f.ctx, s1), by_prepared(f.ctx, s2);
+  const PreparedPublicKey ppk = prepare_public_key(f.ctx, f.pk);
+  for (const Ciphertext& ct : {by_key.encrypt(pt, f.pk), by_prepared.encrypt(pt, ppk)}) {
+    EXPECT_EQ(ct.c0.coeffs(), c0.coeffs());
+    EXPECT_EQ(ct.c1.coeffs(), c1.coeffs());
+    EXPECT_EQ(f.dec.decrypt(ct).poly.coeffs(), pt.poly.coeffs());
+  }
+}
+
+TEST(Bfv, DecryptBatchMatchesDecryptAtEveryLaneRemainder) {
+  // Counts cover every remainder of the 4-lane (AVX2) and 8-lane (AVX-512)
+  // SoA groups, and a batch of one (the in-place scalar kernel) at each level.
+  Fixture f;
+  const auto& p = f.ctx.params();
+  std::mt19937_64 rng(77);
+  std::vector<Plaintext> pts;
+  std::vector<Ciphertext> cts;
+  for (std::size_t i = 0; i < 9; ++i) {
+    pts.push_back(f.ctx.encode_signed(random_values(p.n, -1000, 1000, rng)));
+    cts.push_back(f.enc.encrypt(pts.back(), f.pk));
+  }
+  using hemath::simd::SimdLevel;
+  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    const hemath::simd::ScopedSimdLevel scoped(level);
+    for (const std::size_t count : {1, 2, 3, 4, 5, 7, 8, 9}) {
+      const std::vector<Plaintext> got =
+          f.dec.decrypt_batch(std::span<const Ciphertext>(cts.data(), count));
+      ASSERT_EQ(got.size(), count);
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(got[i].poly.coeffs(), pts[i].poly.coeffs()) << "count " << count << " i " << i;
+        EXPECT_EQ(got[i].poly.coeffs(), f.dec.decrypt(cts[i]).poly.coeffs());
+      }
+    }
+  }
+  // A ciphertext of another degree is refused before any transform runs.
+  const Ciphertext half{Poly(p.q, p.n / 2), Poly(p.q, p.n / 2)};
+  EXPECT_THROW((void)f.dec.decrypt(half), std::invalid_argument);
+  const std::vector<Ciphertext> mixed{cts[0], half};
+  EXPECT_THROW((void)f.dec.decrypt_batch(mixed), std::invalid_argument);
 }
 
 TEST(Bfv, ApproxBackendRequiresConfig) {

@@ -5,7 +5,9 @@
 // mulmod including edge residues. Skips the comparisons on CPUs without AVX2.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <random>
+#include <string>
 
 #include "core/flash_accelerator.hpp"
 #include "fft/complex_fft.hpp"
@@ -551,9 +553,9 @@ TEST(SimdKernels, Pow2NegacyclicAndBatchBitIdenticalAcrossLevels) {
 // --- FLASH_FORCE_SIMD_LEVEL resolution --------------------------------------
 //
 // The env vars are read once at startup, so these tests drive the resolver
-// directly with synthetic values. Contract: FLASH_FORCE_SCALAR (truthy) wins;
-// otherwise FLASH_FORCE_SIMD_LEVEL must parse and can only degrade, never
-// grant a level the CPU lacks; unknown names are a hard configuration error.
+// directly with synthetic values. Contract: FLASH_FORCE_SIMD_LEVEL must parse
+// and can only degrade, never grant a level the CPU lacks; unknown names and
+// the retired FLASH_FORCE_SCALAR are hard configuration errors.
 
 TEST(SimdDispatchEnv, ParseSimdLevelAcceptsExactlyTheThreeNames) {
   using hemath::simd::parse_simd_level;
@@ -570,31 +572,42 @@ TEST(SimdDispatchEnv, ParseSimdLevelAcceptsExactlyTheThreeNames) {
 
 TEST(SimdDispatchEnv, ResolveHonorsEachForcedLevel) {
   using hemath::simd::detail::resolve_level;
-  EXPECT_EQ(resolve_level(nullptr, "scalar", SimdLevel::kAvx512), SimdLevel::kScalar);
-  EXPECT_EQ(resolve_level(nullptr, "avx2", SimdLevel::kAvx512), SimdLevel::kAvx2);
-  EXPECT_EQ(resolve_level(nullptr, "avx512", SimdLevel::kAvx512), SimdLevel::kAvx512);
+  EXPECT_EQ(resolve_level("scalar", SimdLevel::kAvx512), SimdLevel::kScalar);
+  EXPECT_EQ(resolve_level("avx2", SimdLevel::kAvx512), SimdLevel::kAvx2);
+  EXPECT_EQ(resolve_level("avx512", SimdLevel::kAvx512), SimdLevel::kAvx512);
 }
 
 TEST(SimdDispatchEnv, ResolveClampsToSupportedNeverUpgrades) {
   using hemath::simd::detail::resolve_level;
   // Asking for more than the CPU has degrades to the supported maximum.
-  EXPECT_EQ(resolve_level(nullptr, "avx512", SimdLevel::kAvx2), SimdLevel::kAvx2);
-  EXPECT_EQ(resolve_level(nullptr, "avx2", SimdLevel::kScalar), SimdLevel::kScalar);
+  EXPECT_EQ(resolve_level("avx512", SimdLevel::kAvx2), SimdLevel::kAvx2);
+  EXPECT_EQ(resolve_level("avx2", SimdLevel::kScalar), SimdLevel::kScalar);
   // Unset: the supported maximum stands.
-  EXPECT_EQ(resolve_level(nullptr, nullptr, SimdLevel::kAvx2), SimdLevel::kAvx2);
+  EXPECT_EQ(resolve_level(nullptr, SimdLevel::kAvx2), SimdLevel::kAvx2);
 }
 
-TEST(SimdDispatchEnv, ResolveForceScalarWinsOverForcedLevel) {
-  using hemath::simd::detail::resolve_level;
-  EXPECT_EQ(resolve_level("1", "avx512", SimdLevel::kAvx512), SimdLevel::kScalar);
-  // FLASH_FORCE_SCALAR=0 is falsy: the forced level applies.
-  EXPECT_EQ(resolve_level("0", "avx2", SimdLevel::kAvx512), SimdLevel::kAvx2);
+TEST(SimdDispatchEnv, RetiredForceScalarIsRejectedNamingItsReplacement) {
+  // level_from_environment reads the live environment; the variable is unset
+  // again before the test ends.
+  ASSERT_EQ(std::getenv("FLASH_FORCE_SCALAR"), nullptr);
+  for (const char* value : {"1", "0", ""}) {
+    ASSERT_EQ(::setenv("FLASH_FORCE_SCALAR", value, 1), 0);
+    try {
+      (void)hemath::simd::detail::level_from_environment();
+      ADD_FAILURE() << "FLASH_FORCE_SCALAR='" << value << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("FLASH_FORCE_SIMD_LEVEL=scalar"), std::string::npos)
+          << e.what();
+    }
+  }
+  ASSERT_EQ(::unsetenv("FLASH_FORCE_SCALAR"), 0);
+  EXPECT_NO_THROW((void)hemath::simd::detail::level_from_environment());
 }
 
 TEST(SimdDispatchEnv, ResolveRejectsUnknownLevelName) {
   using hemath::simd::detail::resolve_level;
-  EXPECT_THROW((void)resolve_level(nullptr, "sse9", SimdLevel::kAvx512), std::invalid_argument);
-  EXPECT_THROW((void)resolve_level(nullptr, "AVX2", SimdLevel::kAvx512), std::invalid_argument);
+  EXPECT_THROW((void)resolve_level("sse9", SimdLevel::kAvx512), std::invalid_argument);
+  EXPECT_THROW((void)resolve_level("AVX2", SimdLevel::kAvx512), std::invalid_argument);
 }
 
 TEST(SimdKernels, ForceScalarEnvironmentOverrideIsScalar) {
