@@ -1,8 +1,9 @@
 // CPU microbenchmarks (google-benchmark): the software cost of the
 // transforms FLASH accelerates — the lazy-reduction NTT (and its
 // full-reduction exact oracle), double FFT, the bit-accurate
-// approximate FXP FFT, the sparse dataflow executor, and a full ct x pt
-// multiplication per backend.
+// approximate FXP FFT, the sparse dataflow executor, a full ct x pt
+// multiplication per backend, and the non-NTT arithmetic of the HConv
+// request path (Delta-scaling, batched decrypt, weight encode + transform).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,7 +24,9 @@
 #include "hemath/pow2.hpp"
 #include "hemath/primes.hpp"
 #include "hemath/simd.hpp"
+#include "protocol/hconv_protocol.hpp"
 #include "sparsefft/executor.hpp"
+#include "tensor/quant.hpp"
 
 namespace {
 
@@ -355,6 +358,60 @@ BENCHMARK(BM_MultiplyPlain)
     ->Arg(static_cast<int>(bfv::PolyMulBackend::kNtt))
     ->Arg(static_cast<int>(bfv::PolyMulBackend::kFft))
     ->Arg(static_cast<int>(bfv::PolyMulBackend::kApproxFft));
+
+// The scalar arithmetic around the NTT on the HConv request path, at the
+// Fig. 1 parameters (N = 4096, 49-bit q, t = 2^20): the mask phase's
+// Delta-scaling, the decrypt phase's batched decrypt with its rounding, and
+// the weight phase (encode + signed lift + batched NTT of Fig. 1's 96
+// weight polynomials).
+const bfv::BfvParams& fig1_params() {
+  static const bfv::BfvParams params = bfv::BfvParams::create(4096, 20, 49);
+  return params;
+}
+
+void BM_DeltaScaled(benchmark::State& state) {
+  const bfv::BfvParams& params = fig1_params();
+  const bfv::BfvContext ctx(params);
+  hemath::Sampler sampler(8);
+  const bfv::Plaintext pt{sampler.uniform_poly(params.t, params.n)};
+  for (auto _ : state) {
+    hemath::Poly out = ctx.delta_scaled(pt);
+    benchmark::DoNotOptimize(out.coeffs().data());
+  }
+}
+BENCHMARK(BM_DeltaScaled)->Arg(4096);
+
+void BM_DecryptBatch(benchmark::State& state) {
+  const bfv::BfvParams& params = fig1_params();
+  const bfv::BfvContext ctx(params);
+  hemath::Sampler sampler(9);
+  bfv::KeyGenerator keygen(ctx, sampler);
+  const bfv::SecretKey sk = keygen.secret_key();
+  const bfv::PublicKey pk = keygen.public_key(sk);
+  bfv::Encryptor enc(ctx, sampler);
+  const bfv::Decryptor dec(ctx, sk);
+  std::vector<bfv::Ciphertext> cts;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    cts.push_back(enc.encrypt(bfv::Plaintext{sampler.uniform_poly(params.t, params.n)}, pk));
+  }
+  for (auto _ : state) {
+    std::vector<bfv::Plaintext> out = dec.decrypt_batch(cts);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_DecryptBatch)->Arg(32);
+
+void BM_TransformWeightsFig1(benchmark::State& state) {
+  const bfv::BfvContext ctx(fig1_params());
+  const protocol::HConvProtocol proto(ctx, bfv::PolyMulBackend::kNtt, std::nullopt, 10);
+  std::mt19937_64 rng(11);
+  const tensor::Tensor4 w = tensor::random_weights(32, 32, 3, 4, rng);
+  for (auto _ : state) {
+    auto prepared = proto.prepare_weights(16, 16, w);
+    benchmark::DoNotOptimize(prepared.get());
+  }
+}
+BENCHMARK(BM_TransformWeightsFig1);
 
 // Self-gate for --backend pow2: at equal 49-bit width, the mask-reduce
 // pointwise mulmod must beat the Barrett chain (one u64 mul + AND vs the

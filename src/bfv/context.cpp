@@ -38,10 +38,19 @@ std::vector<i64> BfvContext::decode_signed(const Plaintext& pt) const {
 Poly BfvContext::delta_scaled(const Plaintext& pt) const {
   const auto& p = params_;
   const u64 delta = p.delta();
+  const u64 half_t = p.t / 2;
   Poly out(p.q, p.n);
   for (std::size_t i = 0; i < p.n; ++i) {
-    const u64 lifted = hemath::from_signed(hemath::to_signed(pt.poly[i], p.t), p.q);
-    out[i] = hemath::mul_mod(lifted, delta, p.q);
+    const u64 m = pt.poly[i];
+    if (m < p.t) {
+      // m's centered lift has |m'| <= t/2, so Delta*|m'| <= (q/t)(t/2) <= q/2
+      // < q: the product needs no reduction and a negative lift is q minus it.
+      out[i] = m > half_t ? p.q - delta * (p.t - m) : delta * m;
+    } else {
+      // Malformed plaintext (coefficient >= t): keep the general expression.
+      const u64 lifted = hemath::from_signed(hemath::to_signed(m, p.t), p.q);
+      out[i] = hemath::mul_mod(lifted, delta, p.q);
+    }
   }
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -10,14 +11,57 @@
 namespace flash::bfv {
 
 namespace {
+using hemath::u128;
+using i128 = __int128;
+
 /// Shared rounding of the noisy scaled message v: round(t/q * v) mod t.
+///
+/// The reference expression is llroundl(c * (t/q)) in long double on the
+/// centered lift c. It is reproduced bit for bit with integer arithmetic on
+/// all but a vanishing window of inputs (ARCHITECTURE.md §4, "Scalar
+/// arithmetic around the transforms"):
+///
+/// * Candidate. For a = |c| <= q/2, x = t*a/q <= t/2. A double estimate
+///   gives k ~ round(x), and d = 2t*a + q - 2k*q = 2q(x - k + 1/2) is exact
+///   in 128 bits. k is round(x), rounding half away from zero, exactly when
+///   0 <= d < 2q; then x lies min(d, 2q - d) / 2q from the nearest
+///   half-integer.
+/// * Agreement window. With p long-double mantissa bits and u = 2^-p, the
+///   reference computes x~ = x(1+e_1)...(1+e_r), |e_i| <= u: one rounding
+///   for t/q and one for the product (r = 2) when p >= 64 makes t, q and c
+///   exact, plus one per conversion (r = 5) otherwise. So |x~ - x| <
+///   (r+1)u*x <= (r+1)u*t/2, and llroundl(x~) can differ from round(x) only
+///   if x lies that close to a half-integer: min(d, 2q - d) < (r+1)u*q*t.
+///   window = (r+1)*(floor(q*t / 2^p) + 1) exceeds that bound, so any
+///   window < d < 2q - window returns +-k. Everything else (a wrong
+///   estimate, an exact tie, a near-tie) evaluates the reference itself.
+///
+/// At the bench parameters (49-bit q ~ 2^48, t = 2^20) the window is 51, so
+/// the fallback essentially never runs on decryption noise; near-ties built
+/// to land in it are pinned against the llroundl oracle in test_bfv.
 Plaintext round_to_plaintext(const BfvContext& ctx, const Poly& v) {
   const auto& p = ctx.params();
   Plaintext pt = ctx.make_plaintext();
   const long double scale = static_cast<long double>(p.t) / static_cast<long double>(p.q);
+  const double scale_d = static_cast<double>(p.t) / static_cast<double>(p.q);
+  constexpr int kMantissa = std::numeric_limits<long double>::digits;
+  constexpr i128 kRoundings = kMantissa >= 64 ? 2 : 5;
+  const i128 window =
+      (kRoundings + 1) * static_cast<i128>(((static_cast<u128>(p.q) * p.t) >> kMantissa) + 1);
+  const i128 two_t = static_cast<i128>(2) * p.t;
+  const i128 two_q = static_cast<i128>(2) * p.q;
   for (std::size_t i = 0; i < p.n; ++i) {
-    const long double centered = static_cast<long double>(hemath::to_signed(v[i], p.q));
-    const i64 rounded = static_cast<i64>(std::llroundl(centered * scale));
+    const i64 c = hemath::to_signed(v[i], p.q);
+    const i64 sign = c >> 63;  // 0 or -1
+    const i64 a = (c ^ sign) - sign;
+    const auto k = static_cast<i64>(static_cast<double>(a) * scale_d + 0.5);
+    const i128 d = a * two_t + p.q - k * two_q;
+    i64 rounded;
+    if (d > window && d < two_q - window) [[likely]] {
+      rounded = (k ^ sign) - sign;
+    } else {
+      rounded = static_cast<i64>(std::llroundl(static_cast<long double>(c) * scale));
+    }
     pt.poly[i] = hemath::from_signed(rounded, p.t);
   }
   return pt;

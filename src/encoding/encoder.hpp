@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sparsefft/pattern.hpp"
@@ -67,6 +68,12 @@ class ConvEncoder {
   /// Encode the weights of output channel m restricted to channel tile `tile`.
   std::vector<i64> encode_weight(const tensor::Tensor4& weights, std::size_t m, std::size_t tile) const;
 
+  /// encode_weight's polynomial reduced mod t, written straight into `out`
+  /// (N coefficients): one zero-fill plus the C'*kh*kw nonzeros, with no
+  /// intermediate signed vector.
+  void encode_weight_mod(const tensor::Tensor4& weights, std::size_t m, std::size_t tile,
+                         std::uint64_t t, std::span<std::uint64_t> out) const;
+
   /// Positions in the product polynomial that hold the out_h x out_w
   /// convolution outputs (row-major).
   std::vector<std::size_t> output_positions() const;
@@ -81,6 +88,13 @@ class ConvEncoder {
   sparsefft::SparsityPattern weight_pattern() const;
 
  private:
+  /// The Cheetah weight layout, defined once: validates (weights, m, tile)
+  /// and calls fn(position, value) for each of the tile's C'*kh*kw taps.
+  /// Every other coefficient of the weight polynomial is zero.
+  template <class Fn>
+  void for_each_weight(const tensor::Tensor4& weights, std::size_t m, std::size_t tile,
+                       Fn&& fn) const;
+
   ConvGeometry geo_;
 };
 

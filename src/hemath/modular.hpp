@@ -21,8 +21,11 @@ inline u64 add_mod(u64 a, u64 b, u64 q) {
   return s >= q ? s - q : s;
 }
 
-/// (a - b) mod q, assuming a, b < q.
-inline u64 sub_mod(u64 a, u64 b, u64 q) { return a >= b ? a - b : a + q - b; }
+/// (a - b) mod q, assuming a, b < q. Branchless: the borrow selects q as a
+/// mask, so random operands cost no mispredictions.
+inline u64 sub_mod(u64 a, u64 b, u64 q) {
+  return a - b + (q & (u64{0} - static_cast<u64>(a < b)));
+}
 
 /// (-a) mod q, assuming a < q.
 inline u64 neg_mod(u64 a, u64 q) { return a == 0 ? 0 : q - a; }
@@ -45,10 +48,24 @@ u64 pow_mod(u64 a, u64 e, u64 q);
 u64 inv_mod(u64 a, u64 q);
 
 /// Signed representative of a mod q in (-q/2, q/2].
-i64 to_signed(u64 a, u64 q);
+inline i64 to_signed(u64 a, u64 q) {
+  return a > q / 2 ? static_cast<i64>(a) - static_cast<i64>(q) : static_cast<i64>(a);
+}
 
-/// Map a signed value back into [0, q).
-u64 from_signed(i64 a, u64 q);
+/// Map a signed value back into [0, q): a mod q with a non-negative result.
+/// The lifts on the request path (centered plaintexts and weights, sampler
+/// draws) land in -q <= a < q, where one masked add of q is the whole
+/// reduction; values outside that range, such as rounded FFT products,
+/// pay the division.
+inline u64 from_signed(i64 a, u64 q) {
+  const i64 qs = static_cast<i64>(q);
+  if (qs > 0 && a >= -qs && a < qs) {
+    return static_cast<u64>(a) + (q & (u64{0} - static_cast<u64>(a < 0)));
+  }
+  i64 m = a % qs;
+  if (m < 0) m += qs;
+  return static_cast<u64>(m);
+}
 
 /// Barrett reduction with a precomputed 128-bit reciprocal.
 ///

@@ -24,6 +24,13 @@ constexpr std::uint64_t kStreamMask = 2;     // + output channel index
 std::uint64_t substream(std::uint64_t run_seed, std::uint64_t purpose, std::uint64_t index) {
   return hemath::derive_stream_seed(run_seed, (purpose << 32) + index);
 }
+
+/// static_cast<u64>(v) % t for an encoded share coefficient. Shares already
+/// lie in [0, t), so the division only runs on values outside it.
+u64 share_mod(i64 v, u64 t) {
+  const auto u = static_cast<u64>(v);
+  return u < t ? u : u % t;
+}
 }  // namespace
 
 std::uint64_t ciphertext_bytes(const bfv::BfvParams& params) {
@@ -100,9 +107,8 @@ void HConvProtocol::transform_weights(const encoding::ConvEncoder& enc,
     const std::size_t count = std::min(per_task, pairs - begin);
     std::vector<bfv::Plaintext> pts(count, ctx_.make_plaintext());
     for (std::size_t k = 0; k < count; ++k) {
-      const std::vector<i64> coeffs =
-          enc.encode_weight(weights, (begin + k) / tiles, (begin + k) % tiles);
-      for (std::size_t i = 0; i < p.n; ++i) pts[k].poly[i] = hemath::from_signed(coeffs[i], p.t);
+      enc.encode_weight_mod(weights, (begin + k) / tiles, (begin + k) % tiles, p.t,
+                            pts[k].poly.coeffs());
     }
     std::vector<bfv::PlainSpectrum> specs(count);
     evaluator_.engine().transform_plain_batch(pts, specs);
@@ -151,7 +157,7 @@ HConvResult HConvProtocol::run_stream(const tensor::Tensor3& x, const tensor::Te
   core::for_range(pool_, tiles, [&](std::size_t tile) {
     bfv::Plaintext pt = ctx_.make_plaintext();
     const std::vector<i64> coeffs = enc.encode_activation(x_client, tile);
-    for (std::size_t i = 0; i < p.n; ++i) pt.poly[i] = static_cast<u64>(coeffs[i]) % p.t;
+    for (std::size_t i = 0; i < p.n; ++i) pt.poly[i] = share_mod(coeffs[i], p.t);
     hemath::Sampler tile_sampler(substream(run_seed, kStreamEncrypt, tile));
     bfv::Encryptor encryptor(ctx_, tile_sampler);
     cts[tile] = encryptor.encrypt(pt, pk_prepared_);
@@ -164,7 +170,7 @@ HConvResult HConvProtocol::run_stream(const tensor::Tensor3& x, const tensor::Te
   core::for_range(pool_, tiles, [&](std::size_t tile) {
     bfv::Plaintext pt = ctx_.make_plaintext();
     const std::vector<i64> coeffs = enc.encode_activation(x_server, tile);
-    for (std::size_t i = 0; i < p.n; ++i) pt.poly[i] = static_cast<u64>(coeffs[i]) % p.t;
+    for (std::size_t i = 0; i < p.n; ++i) pt.poly[i] = share_mod(coeffs[i], p.t);
     evaluator_.add_plain_inplace(cts[tile], pt);
   });
   result.profile.share_encode_s += seconds_since(t0);
@@ -272,7 +278,7 @@ HConvProtocol::MatVecResult HConvProtocol::run_matvec(const std::vector<i64>& x,
   }
   bfv::Plaintext pt_c = ctx_.make_plaintext();
   const std::vector<i64> enc_c = enc.encode_vector(client_vals);
-  for (std::size_t i = 0; i < p.n; ++i) pt_c.poly[i] = static_cast<u64>(enc_c[i]) % p.t;
+  for (std::size_t i = 0; i < p.n; ++i) pt_c.poly[i] = share_mod(enc_c[i], p.t);
   hemath::Sampler enc_sampler(substream(run_seed, kStreamEncrypt, 0));
   bfv::Encryptor encryptor(ctx_, enc_sampler);
   bfv::Ciphertext ct = encryptor.encrypt(pt_c, pk_prepared_);
@@ -283,7 +289,7 @@ HConvProtocol::MatVecResult HConvProtocol::run_matvec(const std::vector<i64>& x,
   t0 = std::chrono::steady_clock::now();
   bfv::Plaintext pt_s = ctx_.make_plaintext();
   const std::vector<i64> enc_s = enc.encode_vector(server_vals);
-  for (std::size_t i = 0; i < p.n; ++i) pt_s.poly[i] = static_cast<u64>(enc_s[i]) % p.t;
+  for (std::size_t i = 0; i < p.n; ++i) pt_s.poly[i] = share_mod(enc_s[i], p.t);
   evaluator_.add_plain_inplace(ct, pt_s);
   result.profile.share_encode_s += seconds_since(t0);
 

@@ -1,5 +1,6 @@
 #include "serve/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -16,10 +17,36 @@ int log2_floor(std::uint64_t v) {
   return i;
 }
 
+constexpr int kSubBits = 3;  // log2(LatencyHistogram::kSubBuckets)
+static_assert(LatencyHistogram::kSubBuckets == std::size_t{1} << kSubBits);
+
+/// Bucket of a sample: values below 8 index themselves; otherwise the octave
+/// e >= 3 picks a row of 8 and the 3 bits below the leading one the column.
+std::size_t bucket_of(std::uint64_t ns) {
+  if (ns < LatencyHistogram::kSubBuckets) return static_cast<std::size_t>(ns);
+  const int e = log2_floor(ns);
+  const auto sub =
+      static_cast<std::size_t>((ns >> (e - kSubBits)) & (LatencyHistogram::kSubBuckets - 1));
+  return static_cast<std::size_t>(e - kSubBits + 1) * LatencyHistogram::kSubBuckets + sub;
+}
+
+/// [lower, lower + width) of bucket i, inverting bucket_of.
+void bucket_range(std::size_t i, double& lower, double& width) {
+  if (i < LatencyHistogram::kSubBuckets) {
+    lower = static_cast<double>(i);
+    width = 1.0;
+    return;
+  }
+  const int e = static_cast<int>(i / LatencyHistogram::kSubBuckets) + kSubBits - 1;
+  const auto sub = static_cast<double>(i % LatencyHistogram::kSubBuckets);
+  width = std::ldexp(1.0, e - kSubBits);
+  lower = std::ldexp(1.0, e) + sub * width;
+}
+
 }  // namespace
 
 void LatencyHistogram::record_ns(std::uint64_t ns) {
-  buckets_[static_cast<std::size_t>(log2_floor(ns))].fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket_of(ns)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_ns_.fetch_add(ns, std::memory_order_relaxed);
 }
@@ -30,10 +57,17 @@ double LatencyHistogram::quantile_ns(double p) const {
   const double target = p * static_cast<double>(total);
   std::uint64_t cumulative = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    cumulative += buckets_[i].load(std::memory_order_relaxed);
-    if (static_cast<double>(cumulative) >= target) {
-      return std::ldexp(1.0, static_cast<int>(i) + 1);  // bucket upper bound
+    const std::uint64_t in_bucket = buckets_[i].load(std::memory_order_relaxed);
+    if (in_bucket == 0) continue;
+    if (static_cast<double>(cumulative + in_bucket) >= target) {
+      double lower = 0.0;
+      double width = 0.0;
+      bucket_range(i, lower, width);
+      const double frac =
+          (target - static_cast<double>(cumulative)) / static_cast<double>(in_bucket);
+      return lower + std::clamp(frac, 0.0, 1.0) * width;
     }
+    cumulative += in_bucket;
   }
   return std::ldexp(1.0, 64);
 }

@@ -2,7 +2,7 @@
 //
 // Everything a load test or an operator needs to see the queueing behaviour
 // of a ConvServer: monotonic counters for every admission outcome, gauges
-// for instantaneous queue depth / inflight batches, log-bucketed latency
+// for instantaneous queue depth / inflight batches, log-linear latency
 // histograms with p50/p95/p99 readouts, and per-plan batch-size statistics
 // (the batching win is per plan — a plan that never batches is a plan whose
 // weight-transform amortization is not paying for itself).
@@ -50,14 +50,17 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Power-of-two latency buckets over nanoseconds: bucket i counts samples in
-/// [2^i, 2^(i+1)) ns (bucket 0 additionally holds 0 ns). 64 buckets cover
-/// every representable duration. Quantiles are read as the upper bound of
-/// the bucket where the cumulative count crosses p — an overestimate by at
-/// most 2x, which is the honest resolution of a log histogram and plenty to
-/// see a tail blow up.
+/// Log-linear latency buckets over nanoseconds: each power-of-two octave
+/// [2^e, 2^(e+1)) is split into 8 equal-width sub-buckets (values below 8 ns
+/// get one bucket each), 496 buckets covering every representable duration
+/// in ~4 KB. A quantile interpolates linearly inside the bucket where the
+/// cumulative count crosses p, so it is off by at most one bucket width: at
+/// most 1/8 of the value.
 class LatencyHistogram {
  public:
+  static constexpr std::size_t kSubBuckets = 8;
+  static constexpr std::size_t kBuckets = (64 - 2) * kSubBuckets;
+
   void record_ns(std::uint64_t ns);
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   std::uint64_t sum_ns() const { return sum_ns_.load(std::memory_order_relaxed); }
@@ -65,7 +68,7 @@ class LatencyHistogram {
   double quantile_ns(double p) const;
 
  private:
-  std::array<std::atomic<std::uint64_t>, 64> buckets_{};
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_ns_{0};
 };

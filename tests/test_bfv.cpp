@@ -3,6 +3,8 @@
 // budget behaviour (the kernel-level robustness of paper §III-A).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 
 #include "bfv/encrypt.hpp"
@@ -412,6 +414,137 @@ TEST(Bfv, DecryptBatchMatchesDecryptAtEveryLaneRemainder) {
   EXPECT_THROW((void)f.dec.decrypt(half), std::invalid_argument);
   const std::vector<Ciphertext> mixed{cts[0], half};
   EXPECT_THROW((void)f.dec.decrypt_batch(mixed), std::invalid_argument);
+}
+
+// delta_scaled skips the modular reduction below t (Delta*|m| <= q/2); it
+// must agree with the general lift-and-multiply expression on every
+// coefficient below t and on malformed ones >= t, for prime and
+// power-of-two q.
+void expect_delta_scaled_matches_formula(const BfvParams& params) {
+  const BfvContext ctx(params);
+  const u64 t = params.t;
+  const u64 q = params.q;
+  std::vector<u64> coeffs;
+  for (u64 a = 0; a < t; ++a) coeffs.push_back(a);
+  for (const u64 a : {t, t + 1, t + t / 2, 2 * t - 1, 2 * t, q - 1, q, ~u64{0}}) {
+    coeffs.push_back(a);
+  }
+  std::mt19937_64 rng(3);
+  for (int i = 0; i < 1000; ++i) coeffs.push_back(t + rng() % (q - t));
+  for (std::size_t base = 0; base < coeffs.size(); base += params.n) {
+    Plaintext pt = ctx.make_plaintext();
+    const std::size_t count = std::min<std::size_t>(params.n, coeffs.size() - base);
+    for (std::size_t i = 0; i < count; ++i) pt.poly[i] = coeffs[base + i];
+    const Poly out = ctx.delta_scaled(pt);
+    for (std::size_t i = 0; i < count; ++i) {
+      const u64 a = coeffs[base + i];
+      const u64 expect =
+          hemath::mul_mod(hemath::from_signed(hemath::to_signed(a, t), q), params.delta(), q);
+      ASSERT_EQ(out[i], expect) << "a=" << a << " t=" << t << " q=" << q;
+    }
+  }
+}
+
+/// A 60-bit NTT prime q with an odd plaintext modulus t.
+BfvParams odd_t_params(u64 t) {
+  BfvParams p;
+  p.n = 1024;
+  p.t = t;
+  p.q = hemath::find_ntt_prime(60, p.n);
+  p.validate();
+  return p;
+}
+
+TEST(Bfv, DeltaScaledMatchesLiftMultiplyFormula) {
+  expect_delta_scaled_matches_formula(BfvParams::create(4096, 20, 49));
+  expect_delta_scaled_matches_formula(odd_t_params(65537));
+  expect_delta_scaled_matches_formula(BfvParams::create_pow2(2048, 16, 40));
+  expect_delta_scaled_matches_formula(BfvParams::create_pow2(1024, 20, 62));
+}
+
+// Decrypt's integer rounding against the long double expression it replaced,
+// llroundl(to_signed(v) * (t/q)). A ciphertext (v, 0) decrypts exactly its
+// c0 = v. Inputs: uniform v, constructed near-ties 2tv = +-d (mod q) with
+// |d| <= 64 (inside the long double fallback window), and integers next to
+// (2k+1)q/2t (a few t away from a tie in 2q-scaled units, mostly outside it).
+u64 llroundl_oracle(u64 v, const BfvParams& p) {
+  const long double scale = static_cast<long double>(p.t) / static_cast<long double>(p.q);
+  const long double c = static_cast<long double>(hemath::to_signed(v, p.q));
+  return hemath::from_signed(static_cast<i64>(std::llroundl(c * scale)), p.t);
+}
+
+/// How often two window-free integer roundings disagree with the oracle on
+/// one parameter set's inputs: exact rounding (half away from zero), and the
+/// double-estimate candidate k accepted whenever its 2q-scaled remainder
+/// lies in [0, 2q). Nonzero counts show the near-ties reach the window.
+struct RoundingMisses {
+  std::size_t exact = 0;
+  std::size_t candidate = 0;
+};
+
+RoundingMisses window_free_misses(u64 v, const BfvParams& p, u64 oracle) {
+  const i64 c = hemath::to_signed(v, p.q);
+  const i64 a = c < 0 ? -c : c;
+  const auto exact_mag = static_cast<i64>((2 * static_cast<hemath::u128>(a) * p.t + p.q) /
+                                          (2 * static_cast<hemath::u128>(p.q)));
+  const auto k = static_cast<i64>(static_cast<double>(a) * (static_cast<double>(p.t) /
+                                                             static_cast<double>(p.q)) + 0.5);
+  const __int128 d = static_cast<__int128>(2) * a * p.t + p.q - static_cast<__int128>(2) * k * p.q;
+  const bool candidate_taken = d >= 0 && d < static_cast<__int128>(2) * p.q;
+  RoundingMisses out;
+  out.exact = hemath::from_signed(c < 0 ? -exact_mag : exact_mag, p.t) != oracle;
+  out.candidate = candidate_taken && hemath::from_signed(c < 0 ? -k : k, p.t) != oracle;
+  return out;
+}
+
+RoundingMisses expect_decrypt_rounding_matches_llroundl(const BfvParams& params) {
+  const BfvContext ctx(params);
+  hemath::Sampler sampler(5);
+  KeyGenerator keygen(ctx, sampler);
+  const Decryptor dec(ctx, keygen.secret_key());
+  const u64 q = params.q;
+  const u64 t = params.t;
+  std::mt19937_64 rng(11);
+  std::vector<u64> inputs = {0, 1, q - 1, q / 2, q / 2 + 1};
+  for (std::size_t i = 0; i < 2 * params.n; ++i) inputs.push_back(rng() % q);
+  const u64 inv_2t = hemath::inv_mod((2 * t) % q, q);
+  for (i64 d = -64; d <= 64; ++d) {
+    inputs.push_back(hemath::mul_mod(hemath::from_signed(d, q), inv_2t, q));
+  }
+  for (int i = 0; i < 200; ++i) {
+    const u64 k = rng() % t;  // t*v/q near k + 1/2, v rounded to an integer
+    const auto tie = static_cast<u64>((static_cast<hemath::u128>(2 * k + 1) * q) / (2 * t));
+    for (i64 delta = -2; delta <= 2; ++delta) {
+      inputs.push_back(hemath::from_signed(static_cast<i64>(tie) + delta, q));
+    }
+  }
+  RoundingMisses misses;
+  for (std::size_t base = 0; base < inputs.size(); base += params.n) {
+    Ciphertext ct = ctx.make_ciphertext();
+    const std::size_t count = std::min<std::size_t>(params.n, inputs.size() - base);
+    for (std::size_t i = 0; i < count; ++i) ct.c0[i] = inputs[base + i];
+    const Plaintext pt = dec.decrypt(ct);
+    for (std::size_t i = 0; i < count; ++i) {
+      const u64 v = inputs[base + i];
+      const u64 oracle = llroundl_oracle(v, params);
+      EXPECT_EQ(pt.poly[i], oracle) << "v=" << v << " t=" << t << " q=" << q;
+      const RoundingMisses m = window_free_misses(v, params, oracle);
+      misses.exact += m.exact;
+      misses.candidate += m.candidate;
+    }
+  }
+  return misses;
+}
+
+TEST(Bfv, DecryptRoundingMatchesLongDoubleOracle) {
+  expect_decrypt_rounding_matches_llroundl(BfvParams::create(4096, 20, 49));
+  // At a 60-bit q the long double quotient is coarse enough that exact
+  // rounding disagrees with it on the constructed near-ties.
+  EXPECT_GT(expect_decrypt_rounding_matches_llroundl(odd_t_params(65537)).exact, 0u);
+  // With the batching prime t = 3*2^18 + 1 some of those near-ties get a
+  // double-estimate candidate on the exact side while llroundl lands on the
+  // other: only the fallback window returns the oracle's value there.
+  EXPECT_GT(expect_decrypt_rounding_matches_llroundl(odd_t_params(786433)).candidate, 0u);
 }
 
 TEST(Bfv, ApproxBackendRequiresConfig) {

@@ -104,6 +104,34 @@ TEST(Encoding, EncodedWeightMatchesPattern) {
   }
 }
 
+// The sparse writer the HConv weight phase uses must produce encode_weight's
+// polynomial lifted mod t, on every tile (the last one partial), with a
+// dirty output buffer, rectangular kernels and weights beyond +-t/2.
+TEST(Encoding, EncodeWeightModMatchesLiftedEncodeWeight) {
+  std::mt19937_64 rng(78);
+  const std::uint64_t t = std::uint64_t{1} << 20;
+  ConvEncoder enc(256, 7, 8, 8, 3, 2);  // 3 channels per tile: tiles of 3, 3, 1
+  tensor::Tensor4 w = tensor::random_weights(2, 7, 3, 2, 6, rng);
+  w.data()[0] = -static_cast<i64>(t);
+  w.data()[1] = static_cast<i64>(3 * t) + 5;
+  ASSERT_GT(enc.geometry().channel_tiles(), 1u);
+  std::vector<std::uint64_t> out(256, ~std::uint64_t{0});
+  for (std::size_t m = 0; m < 2; ++m) {
+    for (std::size_t tile = 0; tile < enc.geometry().channel_tiles(); ++tile) {
+      const std::vector<i64> coeffs = enc.encode_weight(w, m, tile);
+      enc.encode_weight_mod(w, m, tile, t, out);
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        const i64 r = coeffs[i] % static_cast<i64>(t);
+        ASSERT_EQ(out[i], static_cast<std::uint64_t>(r < 0 ? r + static_cast<i64>(t) : r))
+            << "m=" << m << " tile=" << tile << " i=" << i;
+      }
+    }
+  }
+  std::vector<std::uint64_t> short_out(128);
+  EXPECT_THROW(enc.encode_weight_mod(w, 0, 0, t, short_out), std::invalid_argument);
+  EXPECT_THROW(enc.encode_weight_mod(w, 2, 0, t, out), std::out_of_range);
+}
+
 TEST(Encoding, PaperSparsityClaim) {
   // Paper §III-B: H = W = 58, k = 3 for ResNet-50 -> >90% sparsity.
   const std::size_t n = 4096;

@@ -2,7 +2,9 @@
 // Montgomery reducers against the 128-bit reference.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
+#include <vector>
 
 #include "hemath/modular.hpp"
 
@@ -107,6 +109,68 @@ TEST(Modular, FromSignedHandlesVeryNegative) {
   EXPECT_EQ(from_signed(-1, 7), 6u);
   EXPECT_EQ(from_signed(-15, 7), 6u);
   EXPECT_EQ(from_signed(-14, 7), 0u);
+}
+
+// The inline lifts against the remainder formulas they replaced, at the
+// edges of the -q <= a < q fast path and of the i64 range, for small,
+// 49-bit prime, near-2^62 and power-of-two moduli.
+u64 from_signed_reference(i64 a, u64 q) {
+  i64 m = a % static_cast<i64>(q);
+  if (m < 0) m += static_cast<i64>(q);
+  return static_cast<u64>(m);
+}
+
+TEST(Modular, SignedLiftsMatchRemainderFormula) {
+  const i64 kMin = std::numeric_limits<i64>::min();
+  const i64 kMax = std::numeric_limits<i64>::max();
+  const u64 moduli[] = {2,
+                        7,
+                        101,
+                        u64{1} << 20,
+                        562949953216513,  // 49-bit NTT prime (1 mod 8192)
+                        (u64{1} << 62) - 57,
+                        (u64{1} << 62) + 1,
+                        u64{1} << 62,
+                        (u64{1} << 63) - 25};
+  std::mt19937_64 rng(17);
+  for (const u64 q : moduli) {
+    const i64 qs = static_cast<i64>(q);
+    std::vector<i64> probes = {kMin,   kMin + 1, kMax,   kMax - 1, 0,       1,       -1,
+                               qs,     -qs,      qs - 1, -(qs - 1), qs + 1, -(qs + 1), qs / 2,
+                               -qs / 2, 2 * (qs / 3), -2 * (qs / 3)};
+    for (int i = 0; i < 2000; ++i) probes.push_back(static_cast<i64>(rng()));
+    for (int i = 0; i < 1000; ++i) {
+      const auto r = static_cast<i64>(rng() % q);  // both signs inside [-q, q)
+      probes.push_back(r);
+      probes.push_back(-r - 1);
+    }
+    for (const i64 a : probes) {
+      ASSERT_EQ(from_signed(a, q), from_signed_reference(a, q)) << "a=" << a << " q=" << q;
+    }
+    const u64 unsigned_probes[] = {0, 1, q / 2, q / 2 + 1, q - 1};
+    for (const u64 a : unsigned_probes) {
+      if (a >= q) continue;
+      const i64 expect = a > q / 2 ? static_cast<i64>(a) - qs : static_cast<i64>(a);
+      EXPECT_EQ(to_signed(a, q), expect) << "a=" << a << " q=" << q;
+      EXPECT_EQ(from_signed(to_signed(a, q), q), a) << "a=" << a << " q=" << q;
+    }
+  }
+}
+
+TEST(Modular, BranchlessSubModMatchesBranchyFormula) {
+  std::mt19937_64 rng(23);
+  const u64 moduli[] = {17, 562949953216513, (u64{1} << 62) - 57, u64{1} << 62};
+  for (const u64 q : moduli) {
+    const u64 edges[] = {0, 1, q / 2, q - 2, q - 1};
+    for (const u64 a : edges) {
+      for (const u64 b : edges) EXPECT_EQ(sub_mod(a, b, q), a >= b ? a - b : a + q - b);
+    }
+    for (int i = 0; i < 5000; ++i) {
+      const u64 a = rng() % q;
+      const u64 b = rng() % q;
+      ASSERT_EQ(sub_mod(a, b, q), a >= b ? a - b : a + q - b);
+    }
+  }
 }
 
 class ReducerTest : public ::testing::TestWithParam<u64> {};

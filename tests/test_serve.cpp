@@ -456,6 +456,40 @@ TEST(ServeMetricsJson, EmptyHistogramExportsZerosNotNan) {
   EXPECT_EQ(sjson.find(": inf"), std::string::npos);
 }
 
+// Quantiles read measured values, not bucket bounds: with 8 log-linear
+// sub-buckets per octave and interpolation inside the bucket, each readout
+// is within 1/8 of the recorded latency it lands on.
+TEST(ServeMetricsHistogram, QuantilesWithinOneEighthOfRecordedLatency) {
+  LatencyHistogram h;
+  const double ms[] = {1.0, 1.5, 3.0};
+  for (const double v : ms) {
+    for (int i = 0; i < 100; ++i) h.record_ns(static_cast<std::uint64_t>(v * 1e6));
+  }
+  const double quantiles[] = {0.2, 0.5, 0.9};
+  for (std::size_t k = 0; k < 3; ++k) {
+    const double got = h.quantile_ns(quantiles[k]) * 1e-6;
+    EXPECT_NEAR(got, ms[k], 0.125 * ms[k]) << "p" << quantiles[k];
+  }
+  EXPECT_NEAR(h.quantile_ns(1.0) * 1e-6, 3.0, 0.125 * 3.0);
+
+  // One sample alone: every quantile reads within 1/8 of it.
+  for (const double v : ms) {
+    LatencyHistogram one;
+    one.record_ns(static_cast<std::uint64_t>(v * 1e6));
+    EXPECT_NEAR(one.quantile_ns(0.5) * 1e-6, v, 0.125 * v);
+    EXPECT_NEAR(one.quantile_ns(0.95) * 1e-6, v, 0.125 * v);
+  }
+  // Sub-8 ns samples and the top octave stay in range.
+  LatencyHistogram edges;
+  edges.record_ns(0);
+  edges.record_ns(5);
+  edges.record_ns(~std::uint64_t{0});
+  EXPECT_LE(edges.quantile_ns(0.3), 1.0);
+  EXPECT_NEAR(edges.quantile_ns(0.6), 5.5, 0.5);
+  EXPECT_GE(edges.quantile_ns(1.0), std::ldexp(15.0, 60));
+  EXPECT_LE(sizeof(LatencyHistogram), std::size_t{4096 + 64});
+}
+
 // --- on_terminal re-entrancy audit (PR-9) ----------------------------------
 //
 // The contract under test: the callback fires exactly once, always with no
