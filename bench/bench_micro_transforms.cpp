@@ -12,6 +12,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "bench_json.hpp"
 #include "bfv/encrypt.hpp"
@@ -150,8 +151,9 @@ void BM_FxpFftForwardInto(benchmark::State& state) {
 }
 BENCHMARK(BM_FxpFftForwardInto)->Arg(2048)->Arg(4096);
 
-/// Batched SoA NTT: 8 polynomials per call (the AVX-512 group size; on an
-/// AVX2 box this runs as two 4-lane groups). Reported time is per call, i.e.
+/// Batched NTT: 8 polynomials per call (the AVX-512 SoA group size; on an
+/// AVX2 box this runs as two 4-lane groups, and for q < 2^50 on an IFMA box
+/// as 8 in-place IFMA singles). Reported time is per call, i.e.
 /// per 8 transforms — compare against 8x BM_NttForward or the Singles
 /// variant below.
 void BM_NttForwardBatch8(benchmark::State& state) {
@@ -413,6 +415,33 @@ void BM_TransformWeightsFig1(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformWeightsFig1);
 
+/// BM_NttForward, BM_NttInverse and BM_NttForwardBatch8 again, pinned to
+/// one SIMD level each ("BM_NttForward/avx512ifma/4096"), so the IFMA kernel
+/// and the 64-bit lazy kernels it replaces for q < 2^50 are compared in one
+/// binary. On a CPU without IFMA the avx512ifma rows run avx512; the label
+/// names the level that ran.
+void register_level_rows() {
+  using hemath::simd::SimdLevel;
+  const std::pair<const char*, void (*)(benchmark::State&)> bodies[] = {
+      {"BM_NttForward", BM_NttForward},
+      {"BM_NttInverse", BM_NttInverse},
+      {"BM_NttForwardBatch8", BM_NttForwardBatch8}};
+  for (const auto& [name, body] : bodies) {
+    for (const SimdLevel level : {SimdLevel::kAvx512, SimdLevel::kAvx512Ifma}) {
+      const std::string row = std::string(name) + "/" + hemath::simd::simd_level_name(level);
+      benchmark::RegisterBenchmark(row.c_str(),
+                                   [body, level](benchmark::State& state) {
+                                     const hemath::simd::ScopedSimdLevel scoped(level);
+                                     state.SetLabel(hemath::simd::simd_level_name(
+                                         hemath::simd::active_simd_level()));
+                                     body(state);
+                                   })
+          ->Arg(2048)
+          ->Arg(4096);
+    }
+  }
+}
+
 // Self-gate for --backend pow2: at equal 49-bit width, the mask-reduce
 // pointwise mulmod must beat the Barrett chain (one u64 mul + AND vs the
 // multiply-high reduction). Exits non-zero on violation so the CI perf job
@@ -476,6 +505,7 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
     }
   }
+  register_level_rows();
   if (batch_only) args.push_back(filter_arg);
   if (pow2_only) {
     args.push_back(pow2_filter_arg);

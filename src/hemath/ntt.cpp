@@ -5,6 +5,7 @@
 #include "hemath/bitrev.hpp"
 #include "hemath/pointwise.hpp"
 #include "hemath/primes.hpp"
+#include "hemath/simd.hpp"
 #include "hemath/simd_batch.hpp"
 
 namespace flash::hemath {
@@ -51,6 +52,14 @@ NttTables::NttTables(u64 q, std::size_t n) : q_(q), n_(n) {
   }
 }
 
+bool NttTables::uses_ifma_kernel() const {
+  // The IFMA kernel keeps lazy values below 4q < 2^52, its multiplier width,
+  // and regroups 16 coefficients at a time; its 52-bit companions are the
+  // 64-bit ones shifted right by 12, so it needs no table of its own.
+  return q_ < (u64{1} << 50) && n_ >= 16 &&
+         simd::level_at_least(simd::SimdLevel::kAvx512Ifma);
+}
+
 simd_batch::NttStageTables NttTables::forward_stages() const {
   return {psi_br_.data(), psi_br_shoup_.data(), 0, 0, q_};
 }
@@ -65,6 +74,10 @@ void NttTables::forward(std::span<u64> a) const {
     ntt_forward_exact(*this, a);
     return;
   }
+  if (uses_ifma_kernel()) {
+    simd_batch::detail::ntt_forward_ifma(a.data(), n_, forward_stages());
+    return;
+  }
   simd_batch::ntt_forward_soa(a.data(), n_, 1, forward_stages());
 }
 
@@ -72,6 +85,10 @@ void NttTables::inverse(std::span<u64> a) const {
   if (a.size() != n_) throw std::invalid_argument("NttTables::inverse: size mismatch");
   if (!shoup_ok_) {
     ntt_inverse_exact(*this, a);
+    return;
+  }
+  if (uses_ifma_kernel()) {
+    simd_batch::detail::ntt_inverse_ifma(a.data(), n_, inverse_stages());
     return;
   }
   simd_batch::ntt_inverse_soa(a.data(), n_, 1, inverse_stages());
@@ -83,6 +100,13 @@ void NttTables::forward_batch_into(std::span<u64* const> polys,
     for (u64* p : polys) ntt_forward_exact(*this, std::span<u64>(p, n_));
     return;
   }
+  if (uses_ifma_kernel()) {
+    // In-place singles: one polynomial stays in L1 through every stage,
+    // which beats the packed SoA sweep when IFMA is available.
+    const simd_batch::NttStageTables tb = forward_stages();
+    for (u64* p : polys) simd_batch::detail::ntt_forward_ifma(p, n_, tb);
+    return;
+  }
   simd_batch::ntt_forward_batch(polys, n_, forward_stages(), arena);
 }
 
@@ -90,6 +114,11 @@ void NttTables::inverse_batch_into(std::span<u64* const> polys,
                                    core::ScratchArena* arena) const {
   if (!shoup_ok_) {
     for (u64* p : polys) ntt_inverse_exact(*this, std::span<u64>(p, n_));
+    return;
+  }
+  if (uses_ifma_kernel()) {
+    const simd_batch::NttStageTables tb = inverse_stages();
+    for (u64* p : polys) simd_batch::detail::ntt_inverse_ifma(p, n_, tb);
     return;
   }
   simd_batch::ntt_inverse_batch(polys, n_, inverse_stages(), arena);

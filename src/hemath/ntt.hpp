@@ -14,6 +14,18 @@
 // are reduced to canonical residues, so they are bit-identical to the
 // full-reduction loop (ntt_forward_exact/ntt_inverse_exact below), which
 // remains only as the q >= 2^61 fallback and as the tests' exact oracle.
+//
+// Kernel dispatch, per call (ARCHITECTURE.md §11):
+//   * q < 2^50, n >= 16, level kAvx512Ifma → the IFMA kernel
+//     (ntt_avx512ifma.cpp), vectorized inside one polynomial with 52-bit
+//     Shoup products. Its bound: lazy values stay below 4q < 2^52, the
+//     IFMA multiplier width. Its companions are the 64-bit ones shifted
+//     right by 12 — floor(floor(w*2^64/q) / 2^12) = floor(w*2^52/q) — so it
+//     costs no table and no division. Batches run as a loop of in-place
+//     singles.
+//   * q < 2^61 otherwise → the scalar Harvey network for singles and the
+//     SoA lane-batched kernels (hemath/simd_batch.hpp) for batches.
+//   * q >= 2^61 → the exact loop.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +69,8 @@ class NttTables {
 
   /// Batched in-place transforms over same-ring polynomials (each pointer is
   /// n coefficients): one SoA butterfly stage sweeps the whole batch, so
-  /// twiddles are loaded once per batch instead of once per polynomial.
+  /// twiddles are loaded once per batch instead of once per polynomial —
+  /// except on the IFMA kernel, which runs each polynomial in place.
   /// Outputs are bit-identical to a loop of forward()/inverse() calls at
   /// every SIMD level (enforced by tests/test_batch_transforms.cpp).
   /// Scratch comes from `arena` (nullptr → the calling thread's arena);
@@ -67,6 +80,12 @@ class NttTables {
                           core::ScratchArena* arena = nullptr) const;
   void inverse_batch_into(std::span<u64* const> polys,
                           core::ScratchArena* arena = nullptr) const;
+
+  /// True when forward/inverse and the batch entry points take the IFMA
+  /// kernel (hemath/ntt_avx512ifma.cpp) at the active SIMD level: q < 2^50,
+  /// n >= 16 and the level is kAvx512Ifma. Otherwise they take the lazy
+  /// Shoup kernels (q < 2^61) or the exact loop.
+  bool uses_ifma_kernel() const;
 
   /// Pointwise product c[i] = a[i]*b[i] mod q (vectorized, hemath/pointwise).
   /// The span form writes into caller-sized storage and never allocates.

@@ -27,6 +27,14 @@ bool detect_avx512() {
 #endif
 }
 
+bool detect_avx512ifma() {
+#if defined(__x86_64__) || defined(_M_X64)
+  return __builtin_cpu_supports("avx512ifma") != 0;
+#else
+  return false;
+#endif
+}
+
 std::atomic<SimdLevel>& level_slot() {
   static std::atomic<SimdLevel> level{detail::level_from_environment()};
   return level;
@@ -44,7 +52,13 @@ bool cpu_has_avx512() {
   return has;
 }
 
+bool cpu_has_avx512ifma() {
+  static const bool has = cpu_has_avx512() && detect_avx512ifma();
+  return has;
+}
+
 SimdLevel max_supported_level() {
+  if (cpu_has_avx512ifma()) return SimdLevel::kAvx512Ifma;
   if (cpu_has_avx512()) return SimdLevel::kAvx512;
   if (cpu_has_avx2()) return SimdLevel::kAvx2;
   return SimdLevel::kScalar;
@@ -57,6 +71,7 @@ const char* simd_level_name(SimdLevel level) {
     case SimdLevel::kScalar: return "scalar";
     case SimdLevel::kAvx2: return "avx2";
     case SimdLevel::kAvx512: return "avx512";
+    case SimdLevel::kAvx512Ifma: return "avx512ifma";
   }
   return "unknown";
 }
@@ -65,10 +80,12 @@ std::optional<SimdLevel> parse_simd_level(std::string_view name) {
   if (name == "scalar") return SimdLevel::kScalar;
   if (name == "avx2") return SimdLevel::kAvx2;
   if (name == "avx512") return SimdLevel::kAvx512;
+  if (name == "avx512ifma") return SimdLevel::kAvx512Ifma;
   return std::nullopt;
 }
 
 SimdLevel clamp_to_supported(SimdLevel level) {
+  if (level == SimdLevel::kAvx512Ifma && !cpu_has_avx512ifma()) level = SimdLevel::kAvx512;
   if (level == SimdLevel::kAvx512 && !cpu_has_avx512()) level = SimdLevel::kAvx2;
   if (level == SimdLevel::kAvx2 && !cpu_has_avx2()) level = SimdLevel::kScalar;
   return level;
@@ -81,11 +98,12 @@ SimdLevel resolve_level(const char* force_level, SimdLevel max_supported) {
     const std::optional<SimdLevel> parsed = parse_simd_level(force_level);
     if (!parsed.has_value()) {
       throw std::invalid_argument(std::string("FLASH_FORCE_SIMD_LEVEL: unknown level '") +
-                                  force_level + "' (expected scalar, avx2 or avx512)");
+                                  force_level + "' (expected scalar, avx2, avx512 or avx512ifma)");
     }
     // Degrade, never upgrade: forcing avx512 on an AVX2-only machine runs
-    // the avx2 path, so the cross-level differential tier is runnable (and
-    // meaningfully exercised) everywhere.
+    // the avx2 path (and avx512ifma without IFMA runs avx512), so the
+    // cross-level differential tier is runnable (and meaningfully
+    // exercised) everywhere.
     return *parsed <= max_supported ? *parsed : max_supported;
   }
   return max_supported;

@@ -5,11 +5,12 @@
 // same IEEE mul/add sequence with contraction disabled — so selecting a
 // level is purely a performance decision. The level is detected once at
 // first use:
-//   * FLASH_FORCE_SIMD_LEVEL={scalar,avx2,avx512} pins a specific level
-//     (scalar for baseline measurements and debugging); any other value
+//   * FLASH_FORCE_SIMD_LEVEL={scalar,avx2,avx512,avx512ifma} pins a specific
+//     level (scalar for baseline measurements and debugging); any other value
 //     throws (a typo must not silently change the datapath), and a forced
 //     level the CPU lacks degrades to the best supported level below it so
-//     the cross-level test tier runs on any machine;
+//     the cross-level test tier runs on any machine (avx512ifma without
+//     IFMA runs avx512);
 //   * the retired FLASH_FORCE_SCALAR throws if set at all, naming
 //     FLASH_FORCE_SIMD_LEVEL=scalar, so an old script fails loudly;
 //   * otherwise the highest level the CPU reports is used;
@@ -20,8 +21,14 @@
 // level_at_least() predicate — direct active_simd_level() comparisons are
 // rejected by flash_lint outside hemath/simd, because `== kAvx2` checks
 // silently turned AVX2 kernels *off* when kAvx512 was added. Kernels live in
-// *_avx2.cpp / *_avx512.cpp translation units compiled with the matching
-// -m flags so the rest of the tree keeps the portable baseline ISA.
+// *_avx2.cpp / *_avx512.cpp / *_avx512ifma.cpp translation units compiled
+// with the matching -m flags so the rest of the tree keeps the portable
+// baseline ISA.
+//
+// kAvx512Ifma adds only the 52-bit multiply-add (vpmadd52{lo,hi}uq) on top
+// of kAvx512. Its one consumer is the NTT inside one polynomial for
+// q < 2^50 (hemath/ntt.hpp); every kernel eligible at kAvx512 stays
+// eligible at kAvx512Ifma through level_at_least().
 #pragma once
 
 #include <optional>
@@ -33,6 +40,7 @@ enum class SimdLevel {
   kScalar = 0,
   kAvx2 = 1,
   kAvx512 = 2,
+  kAvx512Ifma = 3,
 };
 
 /// True if the CPU this process runs on supports AVX2 (ignores the env
@@ -41,6 +49,10 @@ bool cpu_has_avx2();
 
 /// True if the CPU supports the AVX-512 subsets the kernels use (F + DQ).
 bool cpu_has_avx512();
+
+/// True if the CPU supports AVX-512 F + DQ and the 52-bit integer
+/// multiply-add of AVX512IFMA.
+bool cpu_has_avx512ifma();
 
 /// Highest level the CPU supports (ignores env overrides).
 SimdLevel max_supported_level();
@@ -69,7 +81,7 @@ namespace detail {
 /// Pure resolution of the detected level from the env override — unit
 /// testable without mutating the process environment. `force_level` is the
 /// raw FLASH_FORCE_SIMD_LEVEL value (null = unset). Throws
-/// std::invalid_argument when it is not scalar/avx2/avx512.
+/// std::invalid_argument when it is not scalar/avx2/avx512/avx512ifma.
 SimdLevel resolve_level(const char* force_level, SimdLevel max_supported);
 
 /// The level detection reads at first use: resolve_level over this
@@ -79,10 +91,11 @@ SimdLevel level_from_environment();
 }  // namespace detail
 
 /// Scoped override for tests/benches. Requesting a level the CPU lacks
-/// keeps the best supported level below it (kAvx512 without AVX-512 support
-/// degrades to kAvx2, then kScalar). Restores the previous level on
-/// destruction. Not thread-safe against concurrent transform calls by
-/// design: use only in single-threaded test/bench setup.
+/// keeps the best supported level below it (kAvx512Ifma without IFMA
+/// degrades to kAvx512, kAvx512 without AVX-512 to kAvx2, then kScalar).
+/// Restores the previous level on destruction. Not thread-safe against
+/// concurrent transform calls by design: use only in single-threaded
+/// test/bench setup.
 class ScopedSimdLevel {
  public:
   explicit ScopedSimdLevel(SimdLevel level);

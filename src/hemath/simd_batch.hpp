@@ -42,6 +42,9 @@ inline constexpr std::size_t kAvx512Lanes = 8;
 /// Lanes per SoA group the batch driver uses at `level`.
 inline constexpr std::size_t soa_group_lanes(simd::SimdLevel level) {
   switch (level) {
+    // IFMA adds no SoA kernel: the batch keeps its 8-lane groups there
+    // (it runs only for q >= 2^50, where the IFMA single cannot).
+    case simd::SimdLevel::kAvx512Ifma:
     case simd::SimdLevel::kAvx512: return kAvx512Lanes;
     case simd::SimdLevel::kAvx2: return kAvx2Lanes;
     case simd::SimdLevel::kScalar: break;
@@ -87,6 +90,13 @@ void ntt_forward_soa_avx2(u64* buf, std::size_t n, const NttStageTables& tb);
 void ntt_inverse_soa_avx2(u64* buf, std::size_t n, const NttStageTables& tb);
 void ntt_forward_soa_avx512(u64* buf, std::size_t n, const NttStageTables& tb);
 void ntt_inverse_soa_avx512(u64* buf, std::size_t n, const NttStageTables& tb);
+/// In-place transforms of ONE polynomial, vectorized across its
+/// coefficients with AVX-512 IFMA 52-bit Shoup products
+/// (hemath/ntt_avx512ifma.cpp). Require q < 2^50, n >= 16 and IFMA support
+/// — NttTables checks all three. Canonical outputs, bit-identical to the
+/// scalar networks.
+void ntt_forward_ifma(u64* a, std::size_t n, const NttStageTables& tb);
+void ntt_inverse_ifma(u64* a, std::size_t n, const NttStageTables& tb);
 }  // namespace detail
 
 /// Batch drivers: group the polynomials per the dispatch matrix above,

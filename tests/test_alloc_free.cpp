@@ -22,6 +22,7 @@
 #include "hemath/pow2.hpp"
 #include "hemath/primes.hpp"
 #include "hemath/sampler.hpp"
+#include "hemath/simd.hpp"
 #include "sparsefft/executor.hpp"
 
 namespace {
@@ -147,11 +148,12 @@ TEST(AllocFree, ShoupNttSpanForwardInverse) {
   EXPECT_EQ(allocs() - before, 0u);
 }
 
-TEST(AllocFree, NttBatchIntoAfterWarmup) {
+void expect_ntt_batch_alloc_free(hemath::simd::SimdLevel lvl) {
+  const hemath::simd::ScopedSimdLevel level(lvl);
   const std::size_t n = 2048, batch = 6;
   const u64 q = hemath::find_ntt_prime(49, n);
   hemath::NttTables tables(q, n);
-  hemath::Sampler sampler(11);
+  hemath::Sampler sampler(12);
   std::vector<std::vector<u64>> polys(batch);
   for (auto& p : polys) p = sampler.uniform_poly(q, n).coeffs();
   std::vector<u64*> ptrs(batch);
@@ -164,7 +166,26 @@ TEST(AllocFree, NttBatchIntoAfterWarmup) {
   const std::uint64_t before = allocs();
   tables.forward_batch_into(ptrs, &arena);
   tables.inverse_batch_into(ptrs, &arena);
-  EXPECT_EQ(allocs() - before, 0u);
+  tables.forward(std::span<u64>(polys[0]));
+  tables.inverse(std::span<u64>(polys[0]));
+  EXPECT_EQ(allocs() - before, 0u) << hemath::simd::simd_level_name(lvl);
+}
+
+TEST(AllocFree, NttBatchIntoAfterWarmup) {
+  // Whichever path the detected level takes (IFMA singles on an IFMA CPU).
+  expect_ntt_batch_alloc_free(hemath::simd::active_simd_level());
+}
+
+TEST(AllocFree, NttBatchIntoIfmaPathAfterWarmup) {
+  if (!hemath::simd::cpu_has_avx512ifma()) {
+    GTEST_SKIP() << "CPU lacks AVX512IFMA (vpmadd52luq/huq)";
+  }
+  expect_ntt_batch_alloc_free(hemath::simd::SimdLevel::kAvx512Ifma);
+}
+
+TEST(AllocFree, NttBatchIntoSoaPathAfterWarmup) {
+  // The packed SoA groups (AVX-512, or the best level below it).
+  expect_ntt_batch_alloc_free(hemath::simd::SimdLevel::kAvx512);
 }
 
 TEST(AllocFree, FxpFftBatchIntoAfterWarmup) {

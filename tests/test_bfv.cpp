@@ -386,7 +386,8 @@ TEST(Bfv, PublicKeyEncryptMatchesSchoolbookFormula) {
 
 TEST(Bfv, DecryptBatchMatchesDecryptAtEveryLaneRemainder) {
   // Counts cover every remainder of the 4-lane (AVX2) and 8-lane (AVX-512)
-  // SoA groups, and a batch of one (the in-place scalar kernel) at each level.
+  // SoA groups, a batch of one (the in-place scalar kernel) at each level,
+  // and the IFMA singles where the CPU has them.
   Fixture f;
   const auto& p = f.ctx.params();
   std::mt19937_64 rng(77);
@@ -397,7 +398,8 @@ TEST(Bfv, DecryptBatchMatchesDecryptAtEveryLaneRemainder) {
     cts.push_back(f.enc.encrypt(pts.back(), f.pk));
   }
   using hemath::simd::SimdLevel;
-  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512, SimdLevel::kAvx512Ifma}) {
     const hemath::simd::ScopedSimdLevel scoped(level);
     for (const std::size_t count : {1, 2, 3, 4, 5, 7, 8, 9}) {
       const std::vector<Plaintext> got =

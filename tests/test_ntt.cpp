@@ -1,13 +1,15 @@
 // Negacyclic NTT: inverse property, convolution theorem vs schoolbook,
 // linearity, and ring identities; the lazy-reduction (Shoup/Harvey)
 // production path held bit-identical to the full-reduction exact loop,
-// including at the edge of the Harvey bound and on the q >= 2^61 fallback.
+// including at the edge of the Harvey bound and on the q >= 2^61 fallback;
+// the IFMA kernel held bit-identical to it for q < 2^50.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "hemath/ntt.hpp"
 #include "hemath/primes.hpp"
+#include "hemath/simd.hpp"
 
 namespace flash::hemath {
 namespace {
@@ -201,11 +203,13 @@ TEST(ShoupNttEdge, ConvolutionAgreesWithReference) {
 
 // --- Harvey-bound edge: the largest NTT primes the lazy path accepts ------
 
-/// Largest prime q < 2^61 with q ≡ 1 (mod 2n): the widest modulus the lazy
-/// kernels run (their coefficients reach 4q, which must stay below 2^64).
-u64 largest_lazy_prime(std::size_t n) {
+/// Largest prime q < 2^bits with q ≡ 1 (mod 2n). At bits = 61 it is the
+/// widest modulus the 64-bit lazy kernels run (their coefficients reach 4q,
+/// which must stay below 2^64); at bits = 50, the widest the IFMA kernel
+/// runs (4q must stay below 2^52).
+u64 largest_ntt_prime_below(int bits, std::size_t n) {
   const u64 step = 2 * static_cast<u64>(n);
-  u64 q = (u64{1} << 61) - step + 1;  // step divides 2^61
+  u64 q = (u64{1} << bits) - step + 1;  // step divides 2^bits
   while (!is_prime(q)) q -= step;
   return q;
 }
@@ -227,7 +231,7 @@ void expect_matches_exact(const NttTables& tables, const std::vector<u64>& input
 
 TEST(HarveyBound, LargestLazyPrimeMatchesExactAtEveryDegree) {
   for (std::size_t n = 2; n <= 32768; n *= 2) {
-    const u64 q = largest_lazy_prime(n);
+    const u64 q = largest_ntt_prime_below(61, n);
     ASSERT_LT(q, u64{1} << 61);
     ASSERT_GT(q, u64{1} << 60);
     const NttTables tables(q, n);
@@ -254,6 +258,50 @@ TEST(HarveyBound, PrimeAbove2To61TakesExactFallback) {
   const std::vector<u64> a = random_poly(n, q, rng);
   const std::vector<u64> b = random_poly(n, q, rng);
   EXPECT_EQ(negacyclic_multiply(tables, a, b), negacyclic_multiply_schoolbook(q, a, b));
+}
+
+// --- IFMA kernel: q < 2^50 inside one polynomial ---------------------------
+
+/// All q-1, alternating 0/q-1, and uniform random residues.
+std::vector<std::vector<u64>> ifma_inputs(std::size_t n, u64 q, std::mt19937_64& rng) {
+  std::vector<u64> alternating(n);
+  for (std::size_t i = 0; i < n; ++i) alternating[i] = (i % 2 == 0) ? 0 : q - 1;
+  return {std::vector<u64>(n, q - 1), alternating, random_poly(n, q, rng)};
+}
+
+TEST(IfmaNtt, BitIdenticalToExactLoopsFrom16To8192) {
+  if (!simd::cpu_has_avx512ifma()) GTEST_SKIP() << "CPU lacks AVX512IFMA (vpmadd52luq/huq)";
+  const simd::ScopedSimdLevel level(simd::SimdLevel::kAvx512Ifma);
+  for (std::size_t n = 16; n <= 8192; n *= 2) {
+    std::mt19937_64 rng(n * 19 + 5);
+    for (const u64 q : {largest_ntt_prime_below(50, n), find_ntt_prime(49, n), find_ntt_prime(44, n),
+                        find_ntt_prime(30, n)}) {
+      ASSERT_LT(q, u64{1} << 50);
+      const NttTables tables(q, n);
+      ASSERT_TRUE(tables.uses_ifma_kernel()) << "n=" << n << " q=" << q;
+      for (const auto& input : ifma_inputs(n, q, rng)) expect_matches_exact(tables, input);
+    }
+  }
+}
+
+TEST(IfmaNtt, OutsideItsRangeTheLazyKernelRuns) {
+  if (!simd::cpu_has_avx512ifma()) GTEST_SKIP() << "CPU lacks AVX512IFMA (vpmadd52luq/huq)";
+  const simd::ScopedSimdLevel level(simd::SimdLevel::kAvx512Ifma);
+  // q >= 2^50 (the smallest NTT prime above the bound) and n < 16.
+  for (const std::size_t n : {std::size_t{64}, std::size_t{4096}}) {
+    const u64 q = next_prime_congruent(u64{1} << 50, 2 * n);
+    const NttTables tables(q, n);
+    EXPECT_FALSE(tables.uses_ifma_kernel()) << "n=" << n;
+    std::mt19937_64 rng(n + 7);
+    for (const auto& input : ifma_inputs(n, q, rng)) expect_matches_exact(tables, input);
+  }
+  for (const std::size_t n : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    const NttTables tables(largest_ntt_prime_below(50, n), n);
+    EXPECT_FALSE(tables.uses_ifma_kernel()) << "n=" << n;
+  }
+  // Below the IFMA level the same tables take the lazy kernel.
+  const simd::ScopedSimdLevel lower(simd::SimdLevel::kAvx512);
+  EXPECT_FALSE(NttTables(largest_ntt_prime_below(50, 4096), 4096).uses_ifma_kernel());
 }
 
 }  // namespace

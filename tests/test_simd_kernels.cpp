@@ -5,6 +5,7 @@
 // mulmod including edge residues. Skips the comparisons on CPUs without AVX2.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <random>
 #include <string>
@@ -19,6 +20,7 @@
 #include "hemath/pow2.hpp"
 #include "hemath/primes.hpp"
 #include "hemath/simd.hpp"
+#include "hemath/simd_batch.hpp"
 #include "sparsefft/merged_kernels.hpp"
 
 namespace flash {
@@ -227,11 +229,12 @@ TEST(SimdKernels, PointwiseMulmodScalarVsAvx2Exact) {
 // AVX2 group and its padded remainders (2..4), and the AVX-512 group with
 // the drop-to-AVX2 and zero-padded remainders (5..9).
 
-/// The levels this host can actually run (AVX-512 skips gracefully).
+/// The levels this host can actually run (AVX-512 and IFMA skip gracefully).
 std::vector<SimdLevel> supported_levels() {
   std::vector<SimdLevel> levels{SimdLevel::kScalar};
   if (hemath::simd::cpu_has_avx2()) levels.push_back(SimdLevel::kAvx2);
   if (hemath::simd::cpu_has_avx512()) levels.push_back(SimdLevel::kAvx512);
+  if (hemath::simd::cpu_has_avx512ifma()) levels.push_back(SimdLevel::kAvx512Ifma);
   return levels;
 }
 
@@ -297,6 +300,53 @@ TEST(SimdBatchKernels, NttBatchBitIdenticalToSinglesAcrossLevels) {
     const u64 q = hemath::find_ntt_prime(59, n);
     check_ntt_batch_matches_singles(hemath::NttTables(q, n), n, q);
   }
+}
+
+TEST(SimdBatchKernels, IfmaNttBatchBitIdenticalToSinglesAcrossLevels) {
+  // q < 2^50: at kAvx512Ifma the batch runs IFMA singles in place, at the
+  // lower levels the SoA groups. 49-bit q is the bench modulus; the largest
+  // NTT prime below 2^50 puts the IFMA kernel's 4q < 2^52 bound at its edge.
+  if (!hemath::simd::cpu_has_avx512ifma()) {
+    GTEST_SKIP() << "CPU lacks AVX512IFMA (vpmadd52luq/huq)";
+  }
+  for (std::size_t n : {16u, 64u, 256u, 4096u}) {
+    const u64 step = 2 * static_cast<u64>(n);
+    u64 edge = (u64{1} << 50) - step + 1;
+    while (!hemath::is_prime(edge)) edge -= step;
+    for (const u64 q : {hemath::find_ntt_prime(49, n), edge}) {
+      const hemath::NttTables tables(q, n);
+      {
+        ScopedSimdLevel level(SimdLevel::kAvx512Ifma);
+        ASSERT_TRUE(tables.uses_ifma_kernel()) << "n=" << n << " q=" << q;
+      }
+      check_ntt_batch_matches_singles(tables, n, q);
+    }
+  }
+}
+
+TEST(SimdBatchKernels, AboveIfmaBoundTheSoaBatchRunsAtIfmaLevel) {
+  // 2^50 <= q < 2^61 at kAvx512Ifma: the IFMA kernel does not apply, and the
+  // batch must keep its 8-lane SoA groups rather than fall to one lane.
+  if (!hemath::simd::cpu_has_avx512ifma()) {
+    GTEST_SKIP() << "CPU lacks AVX512IFMA (vpmadd52luq/huq)";
+  }
+  for (std::size_t n : {64u, 4096u}) {
+    const u64 q = hemath::next_prime_congruent(u64{1} << 50, 2 * static_cast<u64>(n));
+    const hemath::NttTables tables(q, n);
+    ScopedSimdLevel level(SimdLevel::kAvx512Ifma);
+    ASSERT_FALSE(tables.uses_ifma_kernel()) << "n=" << n;
+    check_ntt_batch_matches_singles(tables, n, q);
+  }
+}
+
+TEST(SimdBatchKernels, SoaGroupLanesAtEveryLevel) {
+  // A level missing from soa_group_lanes() falls through to one lane, which
+  // would silently turn the SoA batch off; IFMA keeps the AVX-512 groups.
+  using hemath::simd_batch::soa_group_lanes;
+  EXPECT_EQ(soa_group_lanes(SimdLevel::kScalar), 1u);
+  EXPECT_EQ(soa_group_lanes(SimdLevel::kAvx2), hemath::simd_batch::kAvx2Lanes);
+  EXPECT_EQ(soa_group_lanes(SimdLevel::kAvx512), hemath::simd_batch::kAvx512Lanes);
+  EXPECT_EQ(soa_group_lanes(SimdLevel::kAvx512Ifma), hemath::simd_batch::kAvx512Lanes);
 }
 
 TEST(SimdBatchKernels, NttBatchLargeModulusFallbackStillMatches) {
@@ -557,7 +607,7 @@ TEST(SimdKernels, Pow2NegacyclicAndBatchBitIdenticalAcrossLevels) {
 // and can only degrade, never grant a level the CPU lacks; unknown names and
 // the retired FLASH_FORCE_SCALAR are hard configuration errors.
 
-TEST(SimdDispatchEnv, ParseSimdLevelAcceptsExactlyTheThreeNames) {
+TEST(SimdDispatchEnv, ParseSimdLevelAcceptsExactlyTheFourNames) {
   using hemath::simd::parse_simd_level;
   ASSERT_TRUE(parse_simd_level("scalar").has_value());
   EXPECT_EQ(*parse_simd_level("scalar"), SimdLevel::kScalar);
@@ -565,7 +615,10 @@ TEST(SimdDispatchEnv, ParseSimdLevelAcceptsExactlyTheThreeNames) {
   EXPECT_EQ(*parse_simd_level("avx2"), SimdLevel::kAvx2);
   ASSERT_TRUE(parse_simd_level("avx512").has_value());
   EXPECT_EQ(*parse_simd_level("avx512"), SimdLevel::kAvx512);
+  ASSERT_TRUE(parse_simd_level("avx512ifma").has_value());
+  EXPECT_EQ(*parse_simd_level("avx512ifma"), SimdLevel::kAvx512Ifma);
   EXPECT_FALSE(parse_simd_level("").has_value());
+  EXPECT_FALSE(parse_simd_level("ifma").has_value());
   EXPECT_FALSE(parse_simd_level("AVX2").has_value());
   EXPECT_FALSE(parse_simd_level("sse4").has_value());
 }
@@ -575,6 +628,10 @@ TEST(SimdDispatchEnv, ResolveHonorsEachForcedLevel) {
   EXPECT_EQ(resolve_level("scalar", SimdLevel::kAvx512), SimdLevel::kScalar);
   EXPECT_EQ(resolve_level("avx2", SimdLevel::kAvx512), SimdLevel::kAvx2);
   EXPECT_EQ(resolve_level("avx512", SimdLevel::kAvx512), SimdLevel::kAvx512);
+  EXPECT_EQ(resolve_level("avx512ifma", SimdLevel::kAvx512Ifma), SimdLevel::kAvx512Ifma);
+  // Forcing avx512 on an IFMA CPU is how the SoA fallback is exercised.
+  EXPECT_EQ(resolve_level("avx512", SimdLevel::kAvx512Ifma), SimdLevel::kAvx512);
+  EXPECT_EQ(resolve_level("scalar", SimdLevel::kAvx512Ifma), SimdLevel::kScalar);
 }
 
 TEST(SimdDispatchEnv, ResolveClampsToSupportedNeverUpgrades) {
@@ -582,8 +639,37 @@ TEST(SimdDispatchEnv, ResolveClampsToSupportedNeverUpgrades) {
   // Asking for more than the CPU has degrades to the supported maximum.
   EXPECT_EQ(resolve_level("avx512", SimdLevel::kAvx2), SimdLevel::kAvx2);
   EXPECT_EQ(resolve_level("avx2", SimdLevel::kScalar), SimdLevel::kScalar);
+  // avx512ifma without IFMA runs avx512; without AVX-512, the best below.
+  EXPECT_EQ(resolve_level("avx512ifma", SimdLevel::kAvx512), SimdLevel::kAvx512);
+  EXPECT_EQ(resolve_level("avx512ifma", SimdLevel::kAvx2), SimdLevel::kAvx2);
   // Unset: the supported maximum stands.
   EXPECT_EQ(resolve_level(nullptr, SimdLevel::kAvx2), SimdLevel::kAvx2);
+  EXPECT_EQ(resolve_level(nullptr, SimdLevel::kAvx512Ifma), SimdLevel::kAvx512Ifma);
+}
+
+TEST(SimdDispatchEnv, DetectedLevelMatchesEnvironment) {
+  // Prints the level this process runs at: CI's test job runs this test
+  // first, so its log shows which kernels (IFMA or not) the suite covered.
+  const SimdLevel active = hemath::simd::active_simd_level();
+  std::printf("detected SIMD level: %s (CPU maximum %s, FLASH_FORCE_SIMD_LEVEL=%s)\n",
+              hemath::simd::simd_level_name(active),
+              hemath::simd::simd_level_name(hemath::simd::max_supported_level()),
+              std::getenv("FLASH_FORCE_SIMD_LEVEL") != nullptr
+                  ? std::getenv("FLASH_FORCE_SIMD_LEVEL")
+                  : "unset");
+  EXPECT_EQ(active, hemath::simd::detail::level_from_environment());
+}
+
+TEST(SimdDispatchEnv, IfmaLevelNameAndClamp) {
+  using hemath::simd::clamp_to_supported;
+  EXPECT_STREQ(hemath::simd::simd_level_name(SimdLevel::kAvx512Ifma), "avx512ifma");
+  // A ScopedSimdLevel request for IFMA keeps the best level this CPU has.
+  const SimdLevel expect = hemath::simd::cpu_has_avx512ifma() ? SimdLevel::kAvx512Ifma
+                           : hemath::simd::cpu_has_avx512()   ? SimdLevel::kAvx512
+                           : hemath::simd::cpu_has_avx2()     ? SimdLevel::kAvx2
+                                                              : SimdLevel::kScalar;
+  EXPECT_EQ(clamp_to_supported(SimdLevel::kAvx512Ifma), expect);
+  EXPECT_EQ(hemath::simd::max_supported_level(), expect);
 }
 
 TEST(SimdDispatchEnv, RetiredForceScalarIsRejectedNamingItsReplacement) {
@@ -608,6 +694,7 @@ TEST(SimdDispatchEnv, ResolveRejectsUnknownLevelName) {
   using hemath::simd::detail::resolve_level;
   EXPECT_THROW((void)resolve_level("sse9", SimdLevel::kAvx512), std::invalid_argument);
   EXPECT_THROW((void)resolve_level("AVX2", SimdLevel::kAvx512), std::invalid_argument);
+  EXPECT_THROW((void)resolve_level("avx512_ifma", SimdLevel::kAvx512Ifma), std::invalid_argument);
 }
 
 TEST(SimdKernels, ForceScalarEnvironmentOverrideIsScalar) {
