@@ -241,6 +241,21 @@ void BM_PointwiseMulmod(benchmark::State& state) {
 }
 BENCHMARK(BM_PointwiseMulmod)->Arg(2048)->Arg(4096);
 
+// The ct×pt inner step (PolyMulEngine::multiply_accumulate): acc += a*b.
+// Registered only as the level-pinned rows below.
+void BM_PointwiseMulmodAccumulate(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const hemath::u64 q = hemath::find_ntt_prime(49, n);
+  hemath::Sampler sampler(7);
+  std::vector<hemath::u64> a = sampler.uniform_poly(q, n).coeffs();
+  std::vector<hemath::u64> b = sampler.uniform_poly(q, n).coeffs();
+  std::vector<hemath::u64> acc = sampler.uniform_poly(q, n).coeffs();
+  for (auto _ : state) {
+    hemath::pointwise_mulmod_accumulate(acc.data(), a.data(), b.data(), n, q);
+    benchmark::DoNotOptimize(acc.data());
+  }
+}
+
 void BM_PointwiseMulmodScalar(benchmark::State& state) {
   hemath::simd::ScopedSimdLevel scalar(hemath::simd::SimdLevel::kScalar);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -415,17 +430,20 @@ void BM_TransformWeightsFig1(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformWeightsFig1);
 
-/// BM_NttForward, BM_NttInverse and BM_NttForwardBatch8 again, pinned to
-/// one SIMD level each ("BM_NttForward/avx512ifma/4096"), so the IFMA kernel
-/// and the 64-bit lazy kernels it replaces for q < 2^50 are compared in one
-/// binary. On a CPU without IFMA the avx512ifma rows run avx512; the label
-/// names the level that ran.
+/// BM_NttForward, BM_NttInverse, BM_NttForwardBatch8 and the pointwise
+/// mulmods pinned to one SIMD level each ("BM_NttForward/avx512ifma/4096"),
+/// so the IFMA kernels and the 64-bit kernels they replace for q < 2^50
+/// (lazy NTT, AVX2 Barrett pointwise) are compared in one binary. On a CPU
+/// without IFMA the avx512ifma rows run avx512; the label names the level
+/// that ran.
 void register_level_rows() {
   using hemath::simd::SimdLevel;
   const std::pair<const char*, void (*)(benchmark::State&)> bodies[] = {
       {"BM_NttForward", BM_NttForward},
       {"BM_NttInverse", BM_NttInverse},
-      {"BM_NttForwardBatch8", BM_NttForwardBatch8}};
+      {"BM_NttForwardBatch8", BM_NttForwardBatch8},
+      {"BM_PointwiseMulmod", BM_PointwiseMulmod},
+      {"BM_PointwiseMulmodAccumulate", BM_PointwiseMulmodAccumulate}};
   for (const auto& [name, body] : bodies) {
     for (const SimdLevel level : {SimdLevel::kAvx512, SimdLevel::kAvx512Ifma}) {
       const std::string row = std::string(name) + "/" + hemath::simd::simd_level_name(level);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ranges>
 #include <stdexcept>
 #include <utility>
 
@@ -14,7 +15,10 @@ namespace {
 using hemath::u128;
 using i128 = __int128;
 
-/// Shared rounding of the noisy scaled message v: round(t/q * v) mod t.
+/// Shared rounding of the noisy scaled message v: round(t/q * v[i]) mod t
+/// for each i in `positions`, written to consecutive out[] entries. A
+/// template so a full decryption passes iota(0, n) without materializing it
+/// and a caller reading a few coefficients rounds only those.
 ///
 /// The reference expression is llroundl(c * (t/q)) in long double on the
 /// centered lift c. It is reproduced bit for bit with integer arithmetic on
@@ -39,9 +43,8 @@ using i128 = __int128;
 /// At the bench parameters (49-bit q ~ 2^48, t = 2^20) the window is 51, so
 /// the fallback essentially never runs on decryption noise; near-ties built
 /// to land in it are pinned against the llroundl oracle in test_bfv.
-Plaintext round_to_plaintext(const BfvContext& ctx, const Poly& v) {
-  const auto& p = ctx.params();
-  Plaintext pt = ctx.make_plaintext();
+template <class Positions>
+void round_to_plaintext(const BfvParams& p, const Poly& v, const Positions& positions, u64* out) {
   const long double scale = static_cast<long double>(p.t) / static_cast<long double>(p.q);
   const double scale_d = static_cast<double>(p.t) / static_cast<double>(p.q);
   constexpr int kMantissa = std::numeric_limits<long double>::digits;
@@ -50,7 +53,7 @@ Plaintext round_to_plaintext(const BfvContext& ctx, const Poly& v) {
       (kRoundings + 1) * static_cast<i128>(((static_cast<u128>(p.q) * p.t) >> kMantissa) + 1);
   const i128 two_t = static_cast<i128>(2) * p.t;
   const i128 two_q = static_cast<i128>(2) * p.q;
-  for (std::size_t i = 0; i < p.n; ++i) {
+  for (const std::size_t i : positions) {
     const i64 c = hemath::to_signed(v[i], p.q);
     const i64 sign = c >> 63;  // 0 or -1
     const i64 a = (c ^ sign) - sign;
@@ -62,8 +65,14 @@ Plaintext round_to_plaintext(const BfvContext& ctx, const Poly& v) {
     } else {
       rounded = static_cast<i64>(std::llroundl(static_cast<long double>(c) * scale));
     }
-    pt.poly[i] = hemath::from_signed(rounded, p.t);
+    *out++ = hemath::from_signed(rounded, p.t);
   }
+}
+
+Plaintext round_to_plaintext(const BfvContext& ctx, const Poly& v) {
+  Plaintext pt = ctx.make_plaintext();
+  round_to_plaintext(ctx.params(), v, std::views::iota(std::size_t{0}, ctx.params().n),
+                     pt.poly.coeffs().data());
   return pt;
 }
 }  // namespace
@@ -162,6 +171,20 @@ std::vector<Plaintext> Decryptor::decrypt_batch(std::span<const Ciphertext> cts)
   // Each noisy message is freed once rounded, so the next plaintext reuses
   // its buffer and the batch never holds both sets of polynomials.
   for (Poly& v : noisy) out.push_back(round_to_plaintext(ctx_, std::exchange(v, Poly())));
+  return out;
+}
+
+std::vector<std::vector<u64>> Decryptor::decrypt_batch_at(
+    std::span<const Ciphertext> cts, std::span<const std::size_t> positions) const {
+  const auto& p = ctx_.params();
+  for (const std::size_t pos : positions) {
+    if (pos >= p.n) throw std::invalid_argument("decrypt_batch_at: position out of range");
+  }
+  const std::vector<Poly> noisy = noisy_messages(cts);
+  std::vector<std::vector<u64>> out(cts.size(), std::vector<u64>(positions.size()));
+  for (std::size_t i = 0; i < cts.size(); ++i) {
+    round_to_plaintext(p, noisy[i], positions, out[i].data());
+  }
   return out;
 }
 

@@ -61,6 +61,12 @@ class Decryptor {
   /// transforms run through the batched SoA NTT (hemath/ntt), loading each
   /// twiddle once per batch. Bit-identical to a loop of decrypt() calls.
   std::vector<Plaintext> decrypt_batch(std::span<const Ciphertext> cts) const;
+  /// decrypt_batch read at `positions` only: out[i][j] is coefficient
+  /// positions[j] of cts[i]'s plaintext, rounded by the same routine, so a
+  /// caller that reads a few coefficients (HConv's output positions) skips
+  /// rounding the rest. Throws std::invalid_argument on a position >= n.
+  std::vector<std::vector<u64>> decrypt_batch_at(std::span<const Ciphertext> cts,
+                                                 std::span<const std::size_t> positions) const;
   /// decrypt_batch of one (the batch of one runs the in-place scalar NTT).
   Plaintext decrypt(const Ciphertext& ct) const;
 

@@ -2,11 +2,17 @@
 //
 // The spectral-domain inner loop of every NTT-backed PolyMul is
 // c[i] = a[i]*b[i] mod q (optionally accumulated). The scalar mul_mod takes
-// a 128-bit remainder per element — a library soft-division on x86-64. The
-// AVX2 path computes the same exact residue with a four-lane Barrett
-// reduction (mu = floor(2^128/q) precomputed per call), so it is
-// bit-identical to the scalar path by construction: both produce the unique
-// representative in [0, q). Dispatch follows hemath/simd.hpp.
+// a 128-bit remainder per element — a library soft-division on x86-64. Two
+// vector kernels compute the same exact residue with a Barrett reduction
+// whose constant is precomputed per call:
+//   * AVX-512 IFMA (pointwise_avx512ifma.cpp), for q < 2^50 at kAvx512Ifma:
+//     eight lanes on 52-bit limbs, each product one vpmadd52{lo,hi}uq;
+//   * AVX2 (pointwise_avx2.cpp), for every other q < 2^62 at kAvx2 and up:
+//     four lanes with an emulated 64x64->128 multiply.
+// Both land the unique representative in [0, q) (the bounds are in each
+// TU's header comment), so every level is bit-identical to the scalar path
+// by construction. Arrays shorter than 8 and power-of-two q stay scalar.
+// Dispatch follows hemath/simd.hpp.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +33,10 @@ namespace detail {
 /// Callers must check simd::active_simd_level() first.
 void pointwise_mulmod_avx2(const u64* a, const u64* b, u64* c, std::size_t n, u64 q);
 void pointwise_mulmod_accumulate_avx2(u64* acc, const u64* a, const u64* b, std::size_t n, u64 q);
+/// AVX-512 IFMA kernels (pointwise_avx512ifma.cpp); q < 2^50, not a power
+/// of two, and the active level must be kAvx512Ifma.
+void pointwise_mulmod_ifma(const u64* a, const u64* b, u64* c, std::size_t n, u64 q);
+void pointwise_mulmod_accumulate_ifma(u64* acc, const u64* a, const u64* b, std::size_t n, u64 q);
 }  // namespace detail
 
 }  // namespace flash::hemath

@@ -26,9 +26,10 @@
 // baseline ISA.
 //
 // kAvx512Ifma adds only the 52-bit multiply-add (vpmadd52{lo,hi}uq) on top
-// of kAvx512. Its one consumer is the NTT inside one polynomial for
-// q < 2^50 (hemath/ntt.hpp); every kernel eligible at kAvx512 stays
-// eligible at kAvx512Ifma through level_at_least().
+// of kAvx512. Its consumers are the NTT inside one polynomial
+// (hemath/ntt.hpp) and the pointwise mulmod (hemath/pointwise.hpp), both
+// for q < 2^50; every kernel eligible at kAvx512 stays eligible at
+// kAvx512Ifma through level_at_least().
 #pragma once
 
 #include <optional>

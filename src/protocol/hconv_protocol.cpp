@@ -235,16 +235,10 @@ HConvResult HConvProtocol::run_stream(const tensor::Tensor3& x, const tensor::Te
   result.profile.mask_s += seconds_since(t0);
 
   // --- Client: decrypt and extract. All output channels decrypt in one
-  // batch so their NTTs run on the SoA batched path (bit-identical to the
-  // per-channel loop this replaces).
+  // batch so their NTTs batch, and only the output positions are rounded
+  // (bit-identical to decrypting every coefficient and reading those).
   t0 = std::chrono::steady_clock::now();
-  const std::vector<bfv::Plaintext> decs = decryptor_.decrypt_batch(acc);
-  result.client_share.resize(out_channels);
-  core::for_range(pool_, out_channels, [&](std::size_t m) {
-    auto& share = result.client_share[m];
-    share.reserve(positions.size());
-    for (std::size_t pos : positions) share.push_back(decs[m].poly[pos]);
-  });
+  result.client_share = decryptor_.decrypt_batch_at(acc, positions);
   result.profile.decrypt_s += seconds_since(t0);
 
   result.ops = evaluator_.engine().counters() - ops_before;

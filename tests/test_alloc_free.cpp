@@ -252,13 +252,18 @@ TEST(AllocFree, FxpNegacyclicBatchIntoAfterWarmup) {
 }
 
 TEST(AllocFree, PointwiseMulmodRaw) {
+  // The AVX2 Barrett kernel (kAvx512) and, on CPUs with it, the IFMA one;
+  // kAvx512Ifma without IFMA runs the AVX2 kernel again.
   const std::size_t n = 4096;
   const u64 q = hemath::find_ntt_prime(49, n);
   std::vector<u64> a(n, q - 1), b(n, q - 2), c(n);
-  const std::uint64_t before = allocs();
-  hemath::pointwise_mulmod(a.data(), b.data(), c.data(), n, q);
-  hemath::pointwise_mulmod_accumulate(c.data(), a.data(), b.data(), n, q);
-  EXPECT_EQ(allocs() - before, 0u);
+  for (const auto lvl : {hemath::simd::SimdLevel::kAvx512, hemath::simd::SimdLevel::kAvx512Ifma}) {
+    const hemath::simd::ScopedSimdLevel level(lvl);
+    const std::uint64_t before = allocs();
+    hemath::pointwise_mulmod(a.data(), b.data(), c.data(), n, q);
+    hemath::pointwise_mulmod_accumulate(c.data(), a.data(), b.data(), n, q);
+    EXPECT_EQ(allocs() - before, 0u) << hemath::simd::simd_level_name(lvl);
+  }
 }
 
 TEST(AllocFree, Pow2NegacyclicIntoAndBatchIntoAfterWarmup) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <random>
 
 #include "bfv/encrypt.hpp"
@@ -499,11 +500,9 @@ RoundingMisses window_free_misses(u64 v, const BfvParams& p, u64 oracle) {
   return out;
 }
 
-RoundingMisses expect_decrypt_rounding_matches_llroundl(const BfvParams& params) {
-  const BfvContext ctx(params);
-  hemath::Sampler sampler(5);
-  KeyGenerator keygen(ctx, sampler);
-  const Decryptor dec(ctx, keygen.secret_key());
+/// The rounding inputs named above, in order: edge values, 2n uniform, the
+/// near-ties, and the integers next to (2k+1)q/2t.
+std::vector<u64> rounding_inputs(const BfvParams& params) {
   const u64 q = params.q;
   const u64 t = params.t;
   std::mt19937_64 rng(11);
@@ -520,12 +519,35 @@ RoundingMisses expect_decrypt_rounding_matches_llroundl(const BfvParams& params)
       inputs.push_back(hemath::from_signed(static_cast<i64>(tie) + delta, q));
     }
   }
-  RoundingMisses misses;
-  for (std::size_t base = 0; base < inputs.size(); base += params.n) {
-    Ciphertext ct = ctx.make_ciphertext();
-    const std::size_t count = std::min<std::size_t>(params.n, inputs.size() - base);
+  return inputs;
+}
+
+/// Ciphertexts (v, 0), n inputs each (the last zero-padded): each decrypts
+/// exactly its inputs.
+std::vector<Ciphertext> trivial_ciphertexts(const BfvContext& ctx, const std::vector<u64>& inputs) {
+  const std::size_t n = ctx.params().n;
+  std::vector<Ciphertext> cts;
+  for (std::size_t base = 0; base < inputs.size(); base += n) {
+    Ciphertext& ct = cts.emplace_back(ctx.make_ciphertext());
+    const std::size_t count = std::min<std::size_t>(n, inputs.size() - base);
     for (std::size_t i = 0; i < count; ++i) ct.c0[i] = inputs[base + i];
-    const Plaintext pt = dec.decrypt(ct);
+  }
+  return cts;
+}
+
+RoundingMisses expect_decrypt_rounding_matches_llroundl(const BfvParams& params) {
+  const BfvContext ctx(params);
+  hemath::Sampler sampler(5);
+  KeyGenerator keygen(ctx, sampler);
+  const Decryptor dec(ctx, keygen.secret_key());
+  const u64 q = params.q;
+  const u64 t = params.t;
+  const std::vector<u64> inputs = rounding_inputs(params);
+  RoundingMisses misses;
+  const std::vector<Ciphertext> cts = trivial_ciphertexts(ctx, inputs);
+  for (std::size_t base = 0; base < inputs.size(); base += params.n) {
+    const Plaintext pt = dec.decrypt(cts[base / params.n]);
+    const std::size_t count = std::min<std::size_t>(params.n, inputs.size() - base);
     for (std::size_t i = 0; i < count; ++i) {
       const u64 v = inputs[base + i];
       const u64 oracle = llroundl_oracle(v, params);
@@ -547,6 +569,45 @@ TEST(Bfv, DecryptRoundingMatchesLongDoubleOracle) {
   // double-estimate candidate on the exact side while llroundl lands on the
   // other: only the fallback window returns the oracle's value there.
   EXPECT_GT(expect_decrypt_rounding_matches_llroundl(odd_t_params(786433)).candidate, 0u);
+}
+
+// decrypt_batch_at rounds only the positions asked for, with the routine
+// decrypt_batch runs over every coefficient: on the rounding inputs above
+// (the llroundl-fallback near-ties included) both agree at every position,
+// in any order and with repeats.
+TEST(Bfv, DecryptBatchAtEqualsDecryptBatchAtThosePositions) {
+  for (const BfvParams& params :
+       {BfvParams::create(4096, 20, 49), odd_t_params(65537), odd_t_params(786433)}) {
+    const BfvContext ctx(params);
+    hemath::Sampler sampler(5);
+    KeyGenerator keygen(ctx, sampler);
+    const Decryptor dec(ctx, keygen.secret_key());
+    const std::vector<Ciphertext> cts = trivial_ciphertexts(ctx, rounding_inputs(params));
+    const std::vector<Plaintext> full = dec.decrypt_batch(cts);
+    // Every position, shuffled (each near-tie is read), and HConv's shape: a
+    // strided subset, here descending with a repeat.
+    std::vector<std::size_t> every(params.n);
+    std::iota(every.begin(), every.end(), std::size_t{0});
+    std::shuffle(every.begin(), every.end(), std::mt19937_64(3));
+    std::vector<std::size_t> strided{7, 7};
+    for (std::size_t pos = params.n - 1; pos >= 16; pos -= 16) strided.push_back(pos);
+    for (const std::vector<std::size_t>& positions : {every, strided}) {
+      const std::vector<std::vector<u64>> got = dec.decrypt_batch_at(cts, positions);
+      ASSERT_EQ(got.size(), cts.size());
+      for (std::size_t c = 0; c < cts.size(); ++c) {
+        ASSERT_EQ(got[c].size(), positions.size());
+        for (std::size_t j = 0; j < positions.size(); ++j) {
+          ASSERT_EQ(got[c][j], full[c].poly[positions[j]])
+              << "q=" << params.q << " t=" << params.t << " ct " << c << " pos " << positions[j];
+        }
+      }
+    }
+  }
+  Fixture f;
+  const std::vector<Ciphertext> one{f.ctx.make_ciphertext()};
+  const std::vector<std::size_t> outside{f.ctx.params().n};
+  EXPECT_THROW((void)f.dec.decrypt_batch_at(one, outside), std::invalid_argument);
+  EXPECT_TRUE(f.dec.decrypt_batch_at(one, {}).front().empty());
 }
 
 TEST(Bfv, ApproxBackendRequiresConfig) {

@@ -5,10 +5,14 @@
 // mulmod including edge residues. Skips the comparisons on CPUs without AVX2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "core/flash_accelerator.hpp"
 #include "fft/complex_fft.hpp"
@@ -217,6 +221,118 @@ TEST(SimdKernels, PointwiseMulmodScalarVsAvx2Exact) {
       ASSERT_EQ(scalar_acc[i],
                 hemath::add_mod(acc0[i], hemath::mul_mod(a[i], b[i], q), q))
           << bits << " @" << i;
+    }
+  }
+}
+
+/// Operand pairs on which the IFMA kernel's Barrett estimate
+/// quot = hi52((a*b >> (s-1)) * floor(2^(51+s)/q)) undershoots floor(a*b/q)
+/// by its bound of 2, so r lands in [2q, 3q) and needs both corrections
+/// (pointwise_avx512ifma.cpp). Found by walking b = k/a mod q for small k
+/// (a*b mod q = k) and a just below q. They exist only where the estimate's
+/// two truncations can add up past 1: of the moduli below, at the 44-bit
+/// one.
+std::vector<std::pair<u64, u64>> barrett52_worst_pairs(u64 q, std::size_t want) {
+  using hemath::u128;
+  const int s = std::bit_width(q);
+  const u128 mu = (u128{1} << (51 + s)) / q;
+  std::vector<std::pair<u64, u64>> out;
+  for (u64 a = q - 1; a > q - 4096 && out.size() < want; --a) {
+    const u64 a_inv = hemath::inv_mod(a, q);
+    for (u64 k = 1; k < 50; ++k) {
+      const u64 b = hemath::mul_mod(k, a_inv, q);
+      const u128 x = static_cast<u128>(a) * b;
+      if (x / q - (((x >> (s - 1)) * mu) >> 52) == 2) {
+        out.emplace_back(a, b);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+// Pointwise products and accumulations at the active level against the
+// scalar mul_mod/add_mod (n >= 8), with 0, 1 and q-1 in adjacent lanes of
+// the first 8, `worst` pairs from lane 8 on (n >= 16), q-1 in the lanes
+// after them among the last 8 (the scalar tail when n < 16, the last vector
+// when n % 8 == 0) with accumulators at q-1 there (the final correction's
+// worst case), and the c == a alias.
+void expect_pointwise_exact(std::size_t n, u64 q, std::mt19937_64& rng,
+                            const std::vector<std::pair<u64, u64>>& worst = {}) {
+  std::vector<u64> a(n), b(n), acc(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = rng() % q;
+    b[i] = rng() % q;
+    acc[i] = rng() % q;
+  }
+  const u64 edge_a[] = {0, q - 1, 1, q - 1, q - 1, 1, 0, q - 1};
+  const u64 edge_b[] = {q - 1, q - 1, q - 1, 1, 0, 1, 0, q - 2};
+  for (std::size_t i = 0; i < 8 && i < n; ++i) {
+    a[i] = edge_a[i];
+    b[i] = edge_b[i];
+  }
+  for (std::size_t i = 0; n >= 16 && i < worst.size() && 8 + i < n - 8; ++i) {
+    std::tie(a[8 + i], b[8 + i]) = worst[i];
+  }
+  for (std::size_t i = std::max<std::size_t>(8, n - 8); i < n; ++i) {
+    a[i] = b[i] = acc[i] = q - 1;
+  }
+  const std::string where = "q=" + std::to_string(q) + " n=" + std::to_string(n);
+  std::vector<u64> c(n);
+  hemath::pointwise_mulmod(a.data(), b.data(), c.data(), n, q);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(c[i], hemath::mul_mod(a[i], b[i], q)) << where << " @" << i;
+  }
+  std::vector<u64> aliased = a;
+  hemath::pointwise_mulmod(aliased.data(), b.data(), aliased.data(), n, q);
+  ASSERT_EQ(aliased, c) << where << " (c == a)";
+  std::vector<u64> sum = acc;
+  hemath::pointwise_mulmod_accumulate(sum.data(), a.data(), b.data(), n, q);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(sum[i], hemath::add_mod(acc[i], hemath::mul_mod(a[i], b[i], q), q))
+        << where << " accumulate @" << i;
+  }
+}
+
+TEST(SimdKernels, PointwiseMulmodIfmaExact) {
+  if (!hemath::simd::cpu_has_avx512ifma()) {
+    GTEST_SKIP() << "CPU lacks AVX512IFMA (vpmadd52luq/huq)";
+  }
+  ScopedSimdLevel level(SimdLevel::kAvx512Ifma);
+  ASSERT_TRUE(hemath::simd::level_at_least(SimdLevel::kAvx512Ifma));
+  std::mt19937_64 rng(1705);
+  // The largest NTT prime below 2^50 (for n up to 4096) is the kernel's
+  // edge: 3q just below 2^52, c1 and mu at their widest.
+  u64 edge = (u64{1} << 50) - 8192 + 1;
+  while (!hemath::is_prime(edge)) edge -= 8192;
+  for (const u64 q : {hemath::find_ntt_prime(30, 4096), hemath::find_ntt_prime(44, 4096),
+                      hemath::find_ntt_prime(49, 4096), edge}) {
+    ASSERT_LT(q, u64{1} << 50);
+    const auto worst = barrett52_worst_pairs(q, 16);
+    if (q == hemath::find_ntt_prime(44, 4096)) {
+      ASSERT_FALSE(worst.empty());
+    }
+    for (std::size_t n : {8u, 9u, 10u, 11u, 12u, 13u, 14u, 15u, 16u, 1024u, 4096u}) {
+      expect_pointwise_exact(n, q, rng, worst);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(SimdKernels, PointwiseAboveIfmaBoundStaysExact) {
+  // q >= 2^50 at kAvx512Ifma: outside the IFMA kernel's range, the AVX2
+  // Barrett path runs and stays exact.
+  if (!hemath::simd::cpu_has_avx512ifma()) {
+    GTEST_SKIP() << "CPU lacks AVX512IFMA (vpmadd52luq/huq)";
+  }
+  ScopedSimdLevel level(SimdLevel::kAvx512Ifma);
+  std::mt19937_64 rng(1706);
+  for (const u64 q : {hemath::find_ntt_prime(61, 4096),
+                      hemath::next_prime_congruent(u64{1} << 50, 8192)}) {
+    ASSERT_GE(q, u64{1} << 50);
+    for (std::size_t n : {8u, 13u, 4096u}) {
+      expect_pointwise_exact(n, q, rng);
+      if (HasFatalFailure()) return;
     }
   }
 }
