@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "bfv/evaluator.hpp"
-
 namespace flash::bfv {
 
 namespace {
@@ -186,15 +184,6 @@ std::vector<std::vector<u64>> Decryptor::decrypt_batch_at(
     round_to_plaintext(p, noisy[i], positions, out[i].data());
   }
   return out;
-}
-
-Plaintext Decryptor::decrypt(const Ciphertext3& ct) const {
-  // v = c0 + c1 s + c2 s^2.
-  Poly v = multiply(ctx_.ntt(), ct.c1, sk_.s);
-  const Poly s_squared = multiply(ctx_.ntt(), sk_.s, sk_.s);
-  v.add_inplace(multiply(ctx_.ntt(), ct.c2, s_squared));
-  v.add_inplace(ct.c0);
-  return round_to_plaintext(ctx_, v);
 }
 
 double Decryptor::invariant_noise_budget(const Ciphertext& ct) const {

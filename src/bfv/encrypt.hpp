@@ -49,8 +49,6 @@ class Encryptor {
   hemath::Sampler& sampler_;
 };
 
-struct Ciphertext3;  // bfv/evaluator.hpp
-
 class Decryptor {
  public:
   /// Precomputes the secret key's NTT spectrum: every decrypt needs c1*s, so
@@ -69,9 +67,6 @@ class Decryptor {
                                                  std::span<const std::size_t> positions) const;
   /// decrypt_batch of one (the batch of one runs the in-place scalar NTT).
   Plaintext decrypt(const Ciphertext& ct) const;
-
-  /// Decrypt a pre-relinearization size-3 ciphertext (needs s^2).
-  Plaintext decrypt(const Ciphertext3& ct) const;
 
   /// Bits of noise budget remaining, SEAL-style: log2(q/2t) minus the log of
   /// the largest noise coefficient. <= 0 means decryption is unreliable.

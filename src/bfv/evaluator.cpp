@@ -63,52 +63,4 @@ void Evaluator::finalize_batch(std::span<const CiphertextAccumulator> accums,
   }
 }
 
-const WideMultiplier& Evaluator::wide() const {
-  std::lock_guard<std::mutex> lock(wide_mu_);
-  if (!wide_) wide_ = std::make_unique<WideMultiplier>(ctx_);
-  // Safe to hand out unlocked: once built, the object is immutable and the
-  // pointer is never reset for the lifetime of the Evaluator.
-  return *wide_;
-}
-
-Ciphertext3 Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
-  const WideMultiplier& w = wide();
-  Ciphertext3 out;
-  out.c0 = w.scaled_product(a.c0, b.c0);
-  out.c1 = w.scaled_product_sum(a.c0, b.c1, a.c1, b.c0);
-  out.c2 = w.scaled_product(a.c1, b.c1);
-  return out;
-}
-
-Ciphertext Evaluator::relinearize(const Ciphertext3& ct, const RelinKeys& keys) const {
-  Ciphertext out{ct.c0, ct.c1};
-  apply_key_switch(ctx_, keys.key, ct.c2, out.c0, out.c1);
-  return out;
-}
-
-Ciphertext Evaluator::multiply_relin(const Ciphertext& a, const Ciphertext& b,
-                                     const RelinKeys& keys) const {
-  return relinearize(multiply(a, b), keys);
-}
-
-Ciphertext Evaluator::apply_galois(const Ciphertext& ct, u64 galois_element,
-                                   const GaloisKeys& keys) const {
-  const auto it = keys.keys.find(galois_element);
-  if (it == keys.keys.end()) throw std::invalid_argument("apply_galois: no key for element");
-  const auto& p = ctx_.params();
-  Ciphertext out{bfv::Poly(p.q, p.n), bfv::Poly(p.q, p.n)};
-  out.c0 = bfv::apply_galois(ct.c0, galois_element);
-  const Poly rotated_c1 = bfv::apply_galois(ct.c1, galois_element);
-  apply_key_switch(ctx_, it->second, rotated_c1, out.c0, out.c1);
-  return out;
-}
-
-Ciphertext Evaluator::rotate_rows(const Ciphertext& ct, int steps, const GaloisKeys& keys) const {
-  return apply_galois(ct, galois_element_for_step(steps, ctx_.params().n), keys);
-}
-
-Ciphertext Evaluator::rotate_columns(const Ciphertext& ct, const GaloisKeys& keys) const {
-  return apply_galois(ct, galois_element_row_swap(ctx_.params().n), keys);
-}
-
 }  // namespace flash::bfv

@@ -37,8 +37,8 @@ struct BfvParams {
   /// t a power of two (the 2PC sharing modulus).
   static BfvParams create(std::size_t n, int log_t, int log_q);
 
-  /// Batching-capable parameter set: t is a *prime* = 1 mod 2N so the
-  /// plaintext ring splits into N SIMD slots (GAZELLE-style protocols).
+  /// Prime-t parameter set: t and q are distinct primes = 1 mod 2N. The
+  /// protocol never uses it; the noise-estimator tests do.
   static BfvParams create_batching(std::size_t n, int log_t, int log_q);
 
   /// Jaguar-style power-of-two set: q = 2^k, t = 2^log_t. k <= 62 keeps q

@@ -11,7 +11,6 @@ constexpr std::uint8_t kTagPlaintext = 2;
 constexpr std::uint8_t kTagCiphertext = 3;
 constexpr std::uint8_t kTagSecretKey = 4;
 constexpr std::uint8_t kTagPublicKey = 5;
-constexpr std::uint8_t kTagKeySwitchKey = 6;
 
 void write_header(ByteWriter& w, std::uint8_t tag, const BfvParams& p) {
   w.write_u64(kMagic);
@@ -181,39 +180,6 @@ PublicKey deserialize_public_key(const BfvContext& ctx, const Bytes& bytes) {
   PublicKey pk{deserialize_poly(r), deserialize_poly(r)};
   check_exhausted(r);
   return pk;
-}
-
-Bytes serialize(const BfvParams& params, const KeySwitchKey& key) {
-  ByteWriter w;
-  write_header(w, kTagKeySwitchKey, params);
-  w.write_u64(static_cast<u64>(key.digit_bits));
-  w.write_u64(key.digits());
-  for (std::size_t i = 0; i < key.digits(); ++i) {
-    serialize(key.k0[i], w);
-    serialize(key.k1[i], w);
-  }
-  return w.take();
-}
-
-KeySwitchKey deserialize_key_switch_key(const BfvContext& ctx, const Bytes& bytes) {
-  ByteReader r(bytes);
-  check_header(r, kTagKeySwitchKey, ctx.params());
-  KeySwitchKey key;
-  const u64 digit_bits = r.read_u64();
-  // digit_bits parameterizes 1 << digit_bits shifts downstream; accepting a
-  // header value >= 64 (or 0) silently misparses into shift UB later.
-  if (digit_bits == 0 || digit_bits > 63) {
-    throw SerializationError("key switch key: digit_bits out of range");
-  }
-  key.digit_bits = static_cast<int>(digit_bits);
-  const u64 digits = r.read_u64();
-  if (digits > 64) throw SerializationError("key switch key: too many digits");
-  for (u64 i = 0; i < digits; ++i) {
-    key.k0.push_back(deserialize_poly(r));
-    key.k1.push_back(deserialize_poly(r));
-  }
-  check_exhausted(r);
-  return key;
 }
 
 }  // namespace flash::bfv

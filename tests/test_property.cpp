@@ -10,7 +10,6 @@
 
 #include "bfv/encrypt.hpp"
 #include "bfv/evaluator.hpp"
-#include "bfv/multiply.hpp"
 #include "bfv/serialization.hpp"
 #include "fft/negacyclic.hpp"
 #include "hemath/ntt.hpp"
@@ -82,40 +81,6 @@ TEST_P(BackendEquivalence, NttAndFftBackendsAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendEquivalence, ::testing::Range(1, 9));
-
-TEST(Property, WideMultiplierMatchesExactSchoolbook) {
-  const bfv::BfvParams params = bfv::BfvParams::create_batching(64, 14, 40);
-  bfv::BfvContext ctx(params);
-  bfv::WideMultiplier wide(ctx);
-  std::mt19937_64 rng(5);
-  for (int trial = 0; trial < 10; ++trial) {
-    bfv::Poly a(params.q, params.n), b(params.q, params.n);
-    for (std::size_t i = 0; i < params.n; ++i) {
-      a[i] = rng() % params.q;
-      b[i] = rng() % params.q;
-    }
-    const bfv::Poly got = wide.scaled_product(a, b);
-    // Exact oracle: 256-bit-safe schoolbook via __int128 partial sums on the
-    // centered representatives, then round(t * x / q).
-    for (std::size_t k = 0; k < params.n; ++k) {
-      __int128 acc = 0;
-      for (std::size_t i = 0; i < params.n; ++i) {
-        const std::size_t j = (k + params.n - i) % params.n;
-        const __int128 term = static_cast<__int128>(hemath::to_signed(a[i], params.q)) *
-                              hemath::to_signed(b[j], params.q);
-        acc += (i + j == k) ? term : -term;  // j wrapped iff i + j != k
-      }
-      const bool neg = acc < 0;
-      const unsigned __int128 mag = neg ? static_cast<unsigned __int128>(-acc)
-                                        : static_cast<unsigned __int128>(acc);
-      const unsigned __int128 scaled =
-          (mag * params.t + params.q / 2) / params.q;
-      const u64 expect_mag = static_cast<u64>(scaled % params.q);
-      const u64 expect = neg ? hemath::neg_mod(expect_mag, params.q) : expect_mag;
-      ASSERT_EQ(got[k], expect) << "trial " << trial << " coeff " << k;
-    }
-  }
-}
 
 TEST(Fuzz, SerializationNeverCrashesOnCorruption) {
   const bfv::BfvParams params = bfv::BfvParams::create(256, 14, 40);

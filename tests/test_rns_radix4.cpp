@@ -1,87 +1,12 @@
-// RNS (multi-limb) polynomial arithmetic and the radix-4 FFT dataflow.
+// The radix-4 FFT dataflow against the radix-2 plan.
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "fft/radix4.hpp"
-#include "hemath/primes.hpp"
-#include "hemath/rns_poly.hpp"
 
 namespace flash {
 namespace {
-
-using hemath::i64;
-using hemath::u128;
-using hemath::u64;
-
-TEST(RnsPoly, WideModulusRoundTrip) {
-  // Two 45-bit NTT primes: a ~90-bit modulus, beyond any single word.
-  const auto primes = hemath::find_ntt_primes(45, 64, 2);
-  hemath::RnsContext ctx(primes, 64);
-  EXPECT_GT(ctx.modulus(), u128{1} << 88);
-
-  std::mt19937_64 rng(1);
-  std::vector<i64> coeffs(64);
-  for (auto& c : coeffs) c = static_cast<i64>(rng() % 2001) - 1000;
-  const hemath::RnsPoly p = hemath::RnsPoly::from_signed(ctx, coeffs);
-  for (std::size_t i = 0; i < 64; ++i) {
-    const auto [neg, mag] = p.coeff_centered(i);
-    const i64 got = neg ? -static_cast<i64>(mag) : static_cast<i64>(mag);
-    EXPECT_EQ(got, coeffs[i]) << i;
-  }
-}
-
-TEST(RnsPoly, AddSubNegate) {
-  const auto primes = hemath::find_ntt_primes(40, 32, 2);
-  hemath::RnsContext ctx(primes, 32);
-  std::mt19937_64 rng(2);
-  std::vector<i64> va(32), vb(32);
-  for (auto& c : va) c = static_cast<i64>(rng() % 201) - 100;
-  for (auto& c : vb) c = static_cast<i64>(rng() % 201) - 100;
-  hemath::RnsPoly a = hemath::RnsPoly::from_signed(ctx, va);
-  const hemath::RnsPoly b = hemath::RnsPoly::from_signed(ctx, vb);
-  a.add_inplace(b);
-  a.sub_inplace(b);
-  EXPECT_EQ(a, hemath::RnsPoly::from_signed(ctx, va));
-  a.negate_inplace();
-  a.add_inplace(hemath::RnsPoly::from_signed(ctx, va));
-  EXPECT_EQ(a, hemath::RnsPoly(ctx));
-}
-
-TEST(RnsPoly, MultiplyMatchesWideSchoolbook) {
-  // Products of ~30-bit coefficients overflow 64 bits; the RNS product must
-  // still be exact. Oracle: schoolbook negacyclic convolution in 128-bit.
-  const auto primes = hemath::find_ntt_primes(45, 16, 2);
-  hemath::RnsContext ctx(primes, 16);
-  std::mt19937_64 rng(3);
-  std::vector<i64> va(16), vb(16);
-  for (auto& c : va) c = static_cast<i64>(rng() % (1 << 30)) - (1 << 29);
-  for (auto& c : vb) c = static_cast<i64>(rng() % (1 << 30)) - (1 << 29);
-
-  const hemath::RnsPoly prod =
-      hemath::multiply(hemath::RnsPoly::from_signed(ctx, va), hemath::RnsPoly::from_signed(ctx, vb));
-
-  for (std::size_t k = 0; k < 16; ++k) {
-    __int128 acc = 0;
-    for (std::size_t i = 0; i < 16; ++i) {
-      for (std::size_t j = 0; j < 16; ++j) {
-        const __int128 term = static_cast<__int128>(va[i]) * vb[j];
-        if (i + j == k) acc += term;
-        if (i + j == k + 16) acc -= term;
-      }
-    }
-    const auto [neg, mag] = prod.coeff_centered(k);
-    const __int128 got = neg ? -static_cast<__int128>(mag) : static_cast<__int128>(mag);
-    EXPECT_TRUE(got == acc) << "coefficient " << k;
-  }
-}
-
-TEST(RnsPoly, ContextMismatchThrows) {
-  const auto primes = hemath::find_ntt_primes(40, 16, 2);
-  hemath::RnsContext ctx1(primes, 16), ctx2(primes, 16);
-  hemath::RnsPoly a(ctx1), b(ctx2);
-  EXPECT_THROW(a.add_inplace(b), std::invalid_argument);
-}
 
 class Radix4 : public ::testing::TestWithParam<std::size_t> {};
 

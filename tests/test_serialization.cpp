@@ -11,7 +11,6 @@
 
 #include "bfv/context.hpp"
 #include "bfv/encrypt.hpp"
-#include "bfv/keyswitch.hpp"
 #include "bfv/serialization.hpp"
 #include "hemath/sampler.hpp"
 #include "testing/generators.hpp"
@@ -93,21 +92,6 @@ TEST(Serialization, PublicKeyRoundTrip) {
   EXPECT_EQ(back.p1.coeffs(), f.pk.p1.coeffs());
 }
 
-TEST(Serialization, KeySwitchKeyRoundTrip) {
-  Fixture f(6);
-  bfv::KeySwitcher switcher(f.ctx, f.sampler, /*digit_bits=*/16);
-  const bfv::KeySwitchKey key = switcher.make_key(f.sk.s, f.sk);
-
-  const Bytes bytes = bfv::serialize(f.params, key);
-  const bfv::KeySwitchKey back = bfv::deserialize_key_switch_key(f.ctx, bytes);
-  ASSERT_EQ(back.digits(), key.digits());
-  EXPECT_EQ(back.digit_bits, key.digit_bits);
-  for (std::size_t i = 0; i < key.digits(); ++i) {
-    EXPECT_EQ(back.k0[i].coeffs(), key.k0[i].coeffs());
-    EXPECT_EQ(back.k1[i].coeffs(), key.k1[i].coeffs());
-  }
-}
-
 // --- Rejection: truncation at every prefix length must throw, never decode.
 
 TEST(Serialization, TruncatedCiphertextRejectedAtEveryLength) {
@@ -120,20 +104,6 @@ TEST(Serialization, TruncatedCiphertextRejectedAtEveryLength) {
     const Bytes truncated(bytes.begin(), bytes.begin() + len);
     EXPECT_THROW(bfv::deserialize_ciphertext(f.ctx, truncated), std::runtime_error)
         << "prefix of length " << len << " decoded without error";
-  }
-}
-
-TEST(Serialization, TruncatedKeySwitchKeyRejected) {
-  Fixture f(8, /*n=*/64);
-  bfv::KeySwitcher switcher(f.ctx, f.sampler, /*digit_bits=*/16);
-  const Bytes bytes = bfv::serialize(f.params, switcher.make_key(f.sk.s, f.sk));
-
-  // Cut at a few strategic points: inside the magic, inside the header,
-  // mid-polynomial, and one byte short.
-  for (const std::size_t len :
-       {std::size_t{0}, std::size_t{4}, std::size_t{12}, bytes.size() / 2, bytes.size() - 1}) {
-    const Bytes truncated(bytes.begin(), bytes.begin() + len);
-    EXPECT_THROW(bfv::deserialize_key_switch_key(f.ctx, truncated), std::runtime_error);
   }
 }
 
@@ -167,6 +137,22 @@ TEST(Serialization, TrailingGarbageRejected) {
   Bytes bytes = bfv::serialize(f.params, f.ctx.encode_signed({1}));
   bytes.push_back(0xab);
   EXPECT_THROW(bfv::deserialize_plaintext(f.ctx, bytes), std::runtime_error);
+}
+
+// --- Rejection: a ciphertext coefficient >= q. The header and sizes are
+// intact, so only the per-coefficient range check stands between a forged
+// buffer and arithmetic on an unreduced residue.
+
+TEST(Serialization, CiphertextCoefficientOutOfRangeRejected) {
+  Fixture f(19, /*n=*/64);
+  bfv::Encryptor enc(f.ctx, f.sampler);
+  Bytes bytes = bfv::serialize(f.params, enc.encrypt(f.ctx.encode_signed({1, 2, 3}), f.pk));
+
+  // Layout: header (magic 8 + tag 1 + n/t/q 24 = 33 bytes), then c0 as
+  // modulus u64 and degree u64, then its coefficients.
+  const std::size_t first_coeff = 33 + 16;
+  for (std::size_t i = 0; i < 8; ++i) bytes[first_coeff + i] = 0xff;
+  EXPECT_THROW(bfv::deserialize_ciphertext(f.ctx, bytes), bfv::SerializationError);
 }
 
 // Fuzz-adjacent: random single-byte corruption must either throw or decode
@@ -340,7 +326,6 @@ TEST(Serialization, CorpusReplayAllLoadersSurvive) {
     survive([&] { (void)bfv::deserialize_ciphertext(f.ctx, bytes); });
     survive([&] { (void)bfv::deserialize_secret_key(f.ctx, bytes); });
     survive([&] { (void)bfv::deserialize_public_key(f.ctx, bytes); });
-    survive([&] { (void)bfv::deserialize_key_switch_key(f.ctx, bytes); });
     survive([&] {
       bfv::ByteReader r(bytes);
       (void)bfv::deserialize_params(r);

@@ -115,21 +115,6 @@ TEST(NoiseEstimator, MultiplyPlainPrediction) {
   EXPECT_LE(predicted, measured + 10.0);
 }
 
-TEST(NoiseEstimator, CtCtAndKeySwitchPrediction) {
-  NoiseFixture f;
-  bfv::KeySwitcher switcher(f.ctx, f.sampler);
-  const auto rlk = switcher.make_relin_keys(f.sk);
-  std::mt19937_64 rng(3);
-  const auto ca = f.fresh_ct(rng);
-  const auto cb = f.fresh_ct(rng);
-  const auto prod = f.ev.multiply_relin(ca, cb, rlk);
-  const double measured = f.ctx.params().noise_ceiling_bits() - f.dec.invariant_noise_budget(prod);
-  const double predicted =
-      f.est.after_key_switch(f.est.after_multiply_ct(f.est.fresh(), f.est.fresh()), 16);
-  EXPECT_GE(predicted, measured - 1.0);
-  EXPECT_LE(predicted, measured + 14.0);
-}
-
 TEST(NoiseEstimator, AddIsLogSumExp) {
   NoiseFixture f;
   EXPECT_NEAR(f.est.after_add(10.0, 10.0), 11.0, 1e-9);
